@@ -38,11 +38,11 @@ lint:
 
 # Line coverage of the runtime package (the executor hot paths this repo
 # keeps optimising), the experiment layer (the public scenario API,
-# including experiment.store / experiment.faults / experiment.parallel —
-# the fault-tolerance surface) and the scheduling package (the
-# platform-aware list scheduler / search / optimizer paths) with a hard
-# floor.  Skips gracefully when pytest-cov is not in the environment; CI
-# installs it.
+# including experiment.store / experiment.faults / experiment.pool —
+# the sweep engine and its fault-tolerance surface) and the scheduling
+# package (the platform-aware list scheduler / search / optimizer paths)
+# with a hard floor.  Skips gracefully when pytest-cov is not in the
+# environment; CI installs it.
 cov:
 	@if $(PY) -c "import pytest_cov" 2>/dev/null; then \
 		$(PY) -m pytest tests -q \

@@ -190,13 +190,7 @@ class Platform:
             out.extend([cls] * count)
         return tuple(out)
 
-    # -- keys / rendering -----------------------------------------------
-    def classes_key(self) -> Tuple[Tuple[str, Time, int], ...]:
-        """Hashable identity: ``(name, speed, count)`` per entry, in order."""
-        return tuple(
-            (cls.name, cls.speed, count) for cls, count in self.entries
-        )
-
+    # -- rendering ------------------------------------------------------
     def describe(self) -> str:
         return " + ".join(
             f"{count}x{cls.describe()}" for cls, count in self.entries

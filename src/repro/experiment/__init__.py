@@ -11,18 +11,17 @@ This package is the scenario-scale entry point to the paper's pipeline:
   :meth:`~Experiment.report`) with observers attachable at any stage;
 * :class:`ScenarioMatrix` + :func:`run_sweep` — STOMP-style cartesian
   sweeps over scenario fields with stage-aware derivation/schedule reuse
-  and lean observer-streaming execution; ``run_sweep(workers=N)`` fans
-  the cells out across spawned worker processes, one task per
-  schedule-key group (:mod:`repro.experiment.parallel`), with rows
-  bit-identical to a serial run;
-* :class:`SweepPool` — the resident sweep service
-  (:mod:`repro.experiment.pool`): spawn the workers once, keep their
-  per-schedule-key caches warm across many :meth:`~SweepPool.submit`
-  calls, stream rows back through ``on_row`` as cells complete.
-  ``run_sweep(workers=N)`` is a thin wrapper opening a transient pool.
+  and lean observer-streaming execution;
+* :class:`SweepPool` — the one sweep engine (:mod:`repro.experiment.pool`)
+  ``run_sweep`` submits to: ``SweepPool(workers=0)`` runs groups in the
+  calling thread, ``SweepPool(workers=N)`` keeps resident worker
+  processes with per-schedule-key caches warm across many
+  :meth:`~SweepPool.submit` calls.  Rows are bit-identical either way;
+  ``run_sweep(workers=N)`` fans out unless :func:`serial_fallback_reason`
+  names why the sweep must stay in process.
 
 Sweeps are fault-tolerant: failing cells become structured error rows
-(:class:`SweepCellError`) on a partial result, the parallel backend
+(:class:`SweepCellError`) on a partial result, the process pool
 supervises its workers (crash respawn, per-group deadlines, bounded
 retry), and a content-addressed checkpoint store
 (:class:`MemorySweepStore` / :class:`SqliteSweepStore`,
@@ -33,7 +32,7 @@ deterministically testable with :class:`FaultPlan`
 
 JSON interchange for scenarios and sweep results lives in
 :mod:`repro.io.json_io` (``scenario_to_dict`` / ``sweep_result_to_dict``
-and inverses); the same tagged encoding is the parallel backend's wire
+and inverses); the same tagged encoding is the process pool's wire
 format.
 """
 
@@ -45,8 +44,13 @@ from .scenario import (
 )
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, InjectedFault
-from .parallel import schedule_key_groups, serial_fallback_reason
-from .pool import PoolEvent, SweepPool, SweepTicket
+from .pool import (
+    PoolEvent,
+    SweepPool,
+    SweepTicket,
+    schedule_key_groups,
+    serial_fallback_reason,
+)
 from .store import (
     MemorySweepStore,
     SqliteSweepStore,

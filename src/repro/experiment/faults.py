@@ -1,7 +1,7 @@
 """Deterministic fault injection for sweep robustness testing.
 
-The fault-tolerance layer of :mod:`repro.experiment.sweep` /
-:mod:`repro.experiment.parallel` has three recovery paths — per-cell
+The fault-tolerance layer of the sweep engine
+(:mod:`repro.experiment.pool`) has three recovery paths — per-cell
 error capture, worker-crash respawn and per-group deadline timeouts —
 none of which a healthy sweep ever exercises.  A :class:`FaultPlan`
 makes every path testable *deterministically*: it names sweep cells (by
@@ -20,17 +20,17 @@ Fault kinds
 ``kill_at``
     Hard-kill the worker process (``os._exit(1)``) holding the cell,
     ``times`` times — the stand-in for an OOM kill or segfault.  The
-    parallel supervisor detects the dead worker, respawns the pool and
-    requeues the group; a serial sweep has no worker to kill, so the
-    fault degrades to an :class:`InjectedFault` error row.
+    process supervisor detects the dead worker, respawns it and
+    requeues the group; an in-process sweep has no worker to kill, so
+    the fault degrades to an :class:`InjectedFault` error row.
 ``delay_at``
     Sleep ``seconds`` before the cell executes, ``times`` times — the
     stand-in for a wedged cell, used to trip per-group deadlines.
 ``interrupt_at``
     Raise :class:`KeyboardInterrupt` in the *parent* process when the
-    cell is reached (serial) or when its group's reply is merged
-    (parallel) — the stand-in for Ctrl-C, exercising the partial-result
-    drain.
+    cell is reached (in process) or when its group's reply is merged
+    (process pool) — the stand-in for Ctrl-C, exercising the
+    partial-result drain.
 
 ``kill_at`` / ``delay_at`` entries carry a remaining-fire count: when
 the supervisor requeues a group after a crash or timeout it decrements

@@ -1,64 +1,46 @@
-"""Persistent sweep service: a resident worker pool with warm caches.
+"""The sweep engine: :class:`SweepPool`, in process or on resident workers.
 
-:class:`SweepPool` promotes the one-shot parallel sweep backend
-(:mod:`repro.experiment.parallel`) into a resident service.  The pool
-spawns its worker processes once and keeps them alive across many
-:meth:`~SweepPool.submit` calls, so repeated sweep traffic — the
-ROADMAP north-star — stops paying the two dominant fixed costs of
-``run_sweep(workers=N)``:
+Every sweep runs on a :class:`SweepPool`.
+:func:`~repro.experiment.sweep.run_sweep` opens a transient pool for one
+submission; callers serving repeated sweep traffic hold one open across
+many :meth:`~SweepPool.submit` calls.  Both backends run a schedule-key
+group (:func:`schedule_key_groups`) through
+:func:`repro.experiment.sweep._run_group` and book its outcome through
+the one merge here, so their rows are **bit-identical**:
 
-* **process spawn**: each spawned interpreter takes ~a second to boot
-  and re-import :mod:`repro`; a resident pool pays it once per worker
-  slot, not once per sweep (``SweepStats.pool_reused`` tells a
-  submission it ran on an already-warm pool);
-* **stage recomputation**: workers retain warm state between sweeps — a
-  :class:`~repro.experiment.experiment.PipelineCache` per
-  ``schedule_key`` plus decoded :class:`Scenario` / :class:`Stimulus`
-  payloads keyed by content hash — so a resubmitted or overlapping
-  matrix pays **zero** new derivations/scheduling passes
-  (``SweepStats.warm_group_hits`` / ``payload_cache_hits`` count the
-  reuse; the test suite pins the zero).
+* ``SweepPool(workers=0)`` runs each group in the calling thread, on
+  Python objects: no wire, no process, no poll sleep.  All groups of a
+  submission share one :class:`~repro.experiment.experiment.PipelineCache`,
+  and only this backend takes live objects (``keep_results``,
+  ``observer_factory``, a shared ``cache`` — see
+  :func:`serial_fallback_reason`).
+* ``SweepPool(workers=N)`` spawns up to *N* worker processes once and
+  keeps them alive across submissions, so repeated traffic stops paying
+  process spawn (``SweepStats.pool_reused``) and stage recomputation:
+  workers keep a bounded LRU of one ``PipelineCache`` per schedule key
+  plus decoded ``Scenario`` / ``Stimulus`` payloads by content hash, so
+  a resubmitted matrix pays **zero** new derivations/scheduling passes
+  (``warm_group_hits`` / ``payload_cache_hits``; :meth:`~SweepPool.
+  evict_caches` clears them).  Scenarios go out and rows come back as
+  data in the exact tagged JSON wire format of :mod:`repro.io.json_io`.
+  Each worker owns an inbox queue and groups are routed by **schedule-
+  key affinity** — a key always returns to the worker that computed it —
+  so the warm state actually gets hit.
 
-Warmth only helps if a group reliably lands on the worker that cached
-it, which a shared task queue cannot promise.  Each worker therefore
-owns a dedicated inbox queue and the pool routes groups by **schedule-
-key affinity**: the first dispatch of a key picks a worker (idle first,
-growing the pool up to ``workers`` slots on demand) and every later
-dispatch of the same key waits for — and reuses — that worker.  Both
-worker-side caches are bounded LRUs (``max_cached_groups`` /
-``max_cached_payloads``) and :meth:`~SweepPool.evict_caches` clears
-them on demand, so resident memory stays flat under churning traffic.
-
-Submissions go through a queue.  :meth:`~SweepPool.submit` enqueues the
-matrix's schedule-key groups and returns a :class:`SweepTicket`
-immediately; multiple pending matrices interleave at group granularity
-(the pending queue is FIFO over *groups*, not submissions), rows stream
-back through the ``on_row`` callback as cells complete, and
+:meth:`~SweepPool.submit` enqueues a matrix's groups and returns a
+:class:`SweepTicket` immediately; pending matrices interleave at group
+granularity, rows stream through ``on_row`` as groups complete, and
 ``ticket.result()`` drives the pool until its submission finishes.
+Checkpoint-store hits are resolved parent-side before dispatch and
+computed rows are persisted as groups merge.  The process supervisor
+respawns a dead worker *into its slot* (only its group is charged a
+retry), terminates groups past their deadline, retries with exponential
+backoff up to ``max_retries``, and on ``KeyboardInterrupt`` drains
+completed groups, reaps every worker and returns the partial result
+with ``stats.interrupted`` set.  :class:`~repro.experiment.faults.
+FaultPlan` injection works per submission on both backends.
 
-Everything the one-shot backend guarantees carries over, because the
-pool reuses the same wire format and the same per-cell execution path
-(:func:`repro.experiment.sweep._run_cell`):
-
-* rows are **bit-identical** to a serial ``run_sweep`` of the matrix;
-* checkpoint-store hits are resolved parent-side before dispatch
-  (workers stay store-free) and computed rows are persisted as replies
-  merge;
-* the supervisor is rehosted onto the resident pool: a worker that dies
-  is respawned *into its slot* (the dedicated queues make crash
-  attribution exact — only the dead worker's group is charged a retry),
-  per-group deadlines terminate and retry wedged groups with
-  exponential backoff up to ``max_retries``, and ``KeyboardInterrupt``
-  drains completed replies, tears the workers down (no orphans) and
-  returns the partial result with ``stats.interrupted`` set;
-* deterministic :class:`~repro.experiment.faults.FaultPlan` injection
-  works per submission, exactly as under ``run_sweep(faults=...)``.
-
-``run_sweep(workers=N)`` itself is now a thin wrapper that opens a
-transient ``SweepPool`` for one submission, so the one-shot path stays
-behaviourally identical while sharing this implementation.
-
-Spawn's usual rule applies: a *script* using a ``SweepPool`` at import
+Spawn's usual rule applies: a *script* using a process pool at import
 time must guard it with ``if __name__ == "__main__":`` (workers use the
 spawn start method unconditionally and re-import the main module).
 """
@@ -87,11 +69,13 @@ from ..errors import (
     SweepTimeoutError,
     WorkerCrashError,
 )
+from ..runtime.executor import RuntimeResult
 from .experiment import PipelineCache
-from .faults import FaultPlan, apply_cell_faults
+from .faults import FaultPlan
 from .store import SweepStore, metrics_key, store_key
 from .sweep import (
     DEFAULT_METRICS,
+    ObserverFactory,
     ScenarioMatrix,
     SweepCell,
     SweepCellError,
@@ -101,14 +85,115 @@ from .sweep import (
     _cell_error,
     _check_cell_modes,
     _check_metrics,
-    _run_cell,
+    _GroupOutcome,
+    _run_group,
 )
 
-__all__ = ["PoolEvent", "SweepPool", "SweepTicket"]
+__all__ = [
+    "PoolEvent",
+    "SweepPool",
+    "SweepTicket",
+    "schedule_key_groups",
+    "serial_fallback_reason",
+]
 
 #: Supervisor poll period [s]: how long a collect blocks for replies
 #: before re-checking dispatch, crashes and deadlines.
 _POLL_INTERVAL = 0.02
+
+
+def _group_cells(cells: Sequence[SweepCell]) -> List[List[SweepCell]]:
+    groups: Dict[Any, List[SweepCell]] = {}
+    for cell in cells:
+        groups.setdefault(cell.scenario.schedule_key(), []).append(cell)
+    return list(groups.values())
+
+
+def schedule_key_groups(matrix: ScenarioMatrix) -> List[List[SweepCell]]:
+    """The matrix's cells grouped by schedule key, in first-seen order.
+
+    One group is the unit of dispatch *and* of stage reuse: all its cells
+    share one derivation and one schedule, so a worker owning the whole
+    group pays each exactly once from its private cache.
+    """
+    return _group_cells(list(matrix.cells()))
+
+
+def _live_object_reason(
+    keep_results: bool,
+    observer_factory: Optional[ObserverFactory],
+    cache: Optional[PipelineCache],
+) -> Optional[str]:
+    """Why these submit options need the in-process backend, if they do."""
+    if observer_factory is not None:
+        return (
+            "observer_factory attaches live in-process observers, which "
+            "cannot be shipped to worker processes"
+        )
+    if keep_results:
+        return (
+            "keep_results retains full RuntimeResult objects, which are "
+            "not serialised across the process boundary"
+        )
+    if cache is not None:
+        return (
+            "a caller-shared PipelineCache cannot be shared with worker "
+            "processes — drop it to fan out"
+        )
+    return None
+
+
+def serial_fallback_reason(
+    matrix: ScenarioMatrix,
+    *,
+    keep_results: bool = False,
+    observer_factory: Optional[ObserverFactory] = None,
+    cache: Optional[PipelineCache] = None,
+) -> Optional[str]:
+    """Why this sweep must run in process, or ``None`` if it can fan out.
+
+    Live objects (``observer_factory`` observers, ``keep_results``
+    results, a caller-shared cache) cannot cross the process boundary;
+    scenarios embedding code a freshly-spawned worker cannot reconstruct
+    (:meth:`~repro.experiment.scenario.Scenario.dispatch_blocker`) are
+    refused per cell; and a single schedule-key group has nothing to fan
+    out.  The returned string is stored verbatim in
+    ``SweepStats.parallel_fallback`` so a ``workers > 1`` caller can see
+    which rule demoted the sweep.
+    """
+    reason = _live_object_reason(keep_results, observer_factory, cache)
+    if reason is not None:
+        return reason
+    cells = list(matrix.cells())
+    # The *cells* are what gets dispatched, so they are the authority —
+    # the base scenario may carry code an axis substitutes away (a
+    # workload axis over registered names), or vice versa.
+    for cell in cells:
+        blocker = cell.scenario.dispatch_blocker()
+        if blocker is not None:
+            return f"scenario is not dispatchable: {blocker}"
+    if len(_group_cells(cells)) < 2:
+        return (
+            "matrix has a single schedule-key group — nothing to fan out "
+            "(parallelism is per distinct schedule key)"
+        )
+    return None
+
+
+def _check_supervision(
+    group_timeout: Optional[float],
+    max_retries: Optional[int],
+    retry_backoff: Optional[float],
+) -> None:
+    """Range-check supervision settings (``None`` means "not given")."""
+    if group_timeout is not None and not group_timeout > 0:
+        raise ModelError(
+            f"group_timeout must be > 0 seconds or None, got {group_timeout!r}"
+        )
+    if max_retries is not None and max_retries < 0:
+        raise ModelError("max_retries must be >= 0")
+    if retry_backoff is not None and retry_backoff < 0:
+        raise ModelError("retry_backoff must be >= 0")
 
 
 def _payload_hash(data: Any) -> str:
@@ -278,13 +363,11 @@ class _WorkerCaches:
 def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     """Run one schedule-key group against the worker's warm caches.
 
-    Identical execution semantics to the one-shot backend — every cell
-    goes through :func:`~repro.experiment.sweep._run_cell`, a raising
-    cell becomes an error record while the rest of the group still runs
-    — but the :class:`PipelineCache` is fetched from (or installed
-    into) the per-schedule-key LRU, and scenario/stimulus decoding is
-    skipped when the content hash hits.  The reply's stats report cache
-    counter *deltas*, so a warm group contributes exactly zero
+    Decode, :func:`~repro.experiment.sweep._run_group`, encode: the
+    :class:`PipelineCache` is fetched from (or installed into) the
+    per-schedule-key LRU, and scenario/stimulus decoding is skipped when
+    the content hash hits.  The reply's stats report cache counter
+    *deltas*, so a warm group contributes exactly zero
     derivations/schedules to the sweep's totals.
     """
     from ..io.json_io import value_to_jsonable
@@ -292,11 +375,7 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
 
     data = json.loads(payload)
     metrics = tuple(data["metrics"])
-    lean = bool(data["lean"])
-    attempt = int(data.get("attempt", 0))
     plan_data = data.get("faults")
-    plan = None if plan_data is None else FaultPlan.from_jsonable(plan_data)
-    want_data = any(name in DATA_METRICS for name in metrics)
 
     caches.begin_group()
     stimuli = [
@@ -318,49 +397,81 @@ def _service_run_group(payload: str, caches: _WorkerCaches) -> str:
     # this process).
     cache_key = repr(cells[0].scenario.schedule_key()) if cells else ""
     cache, warm = caches.pipeline(cache_key)
-    nets0 = cache.networks_built
-    derivs0 = cache.derivations_computed
-    scheds0 = cache.schedules_computed
-
-    rows = []
-    errors = []
-    for cell in cells:
-        try:
-            apply_cell_faults(plan, cell.index, in_worker=True)
-            cell_metrics, _ = _run_cell(
-                cell, metrics, want_data,
-                lean=lean, keep_results=False, cache=cache,
-            )
-        except Exception as exc:
-            errors.append({
-                "index": cell.index,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "stage": getattr(exc, "_pipeline_stage", "run"),
-                    "retries": attempt,
-                },
-            })
-            continue
-        rows.append({
-            "index": cell.index,
-            "metrics": {
-                name: value_to_jsonable(value)
-                for name, value in cell_metrics.items()
-            },
-        })
+    outcome = _run_group(
+        cells, metrics, any(name in DATA_METRICS for name in metrics),
+        lean=bool(data["lean"]),
+        cache=cache,
+        faults=(
+            None if plan_data is None else FaultPlan.from_jsonable(plan_data)
+        ),
+        in_worker=True,
+        retries=int(data.get("attempt", 0)),
+    )
+    if outcome.interrupted:
+        raise KeyboardInterrupt
     return json.dumps({
-        "rows": rows,
-        "errors": errors,
+        "rows": [
+            {
+                "index": index,
+                "metrics": {
+                    name: value_to_jsonable(value)
+                    for name, value in cell_metrics.items()
+                },
+            }
+            for index, cell_metrics in outcome.metrics.items()
+        ],
+        "errors": [
+            {
+                "index": index,
+                "error": {
+                    "type": error.error_type,
+                    "message": error.message,
+                    "stage": error.stage,
+                    "retries": error.retries,
+                },
+            }
+            for index, error in outcome.errors.items()
+        ],
         "stats": {
-            "runs": len(rows),
-            "networks_built": cache.networks_built - nets0,
-            "derivations_computed": cache.derivations_computed - derivs0,
-            "schedules_computed": cache.schedules_computed - scheds0,
+            "runs": len(outcome.metrics),
+            "networks_built": outcome.networks_built,
+            "derivations_computed": outcome.derivations_computed,
+            "schedules_computed": outcome.schedules_computed,
             "group_cache_hit": warm,
             "payload_hits": caches.payload_hits,
         },
     })
+
+
+def _decode_reply(payload: str) -> _GroupOutcome:
+    """The :class:`_GroupOutcome` a worker's reply JSON carries."""
+    from ..io.json_io import value_from_jsonable
+
+    data = json.loads(payload)
+    stats = data["stats"]
+    return _GroupOutcome(
+        metrics={
+            int(row["index"]): {
+                name: value_from_jsonable(value)
+                for name, value in row["metrics"].items()
+            }
+            for row in data["rows"]
+        },
+        errors={
+            int(item["index"]): SweepCellError(
+                error_type=item["error"]["type"],
+                message=item["error"]["message"],
+                stage=item["error"].get("stage", "run"),
+                retries=int(item["error"].get("retries", 0)),
+            )
+            for item in data.get("errors", ())
+        },
+        networks_built=int(stats["networks_built"]),
+        derivations_computed=int(stats["derivations_computed"]),
+        schedules_computed=int(stats["schedules_computed"]),
+        group_cache_hit=bool(stats.get("group_cache_hit")),
+        payload_hits=int(stats.get("payload_hits", 0)),
+    )
 
 
 def _service_worker(
@@ -416,6 +527,11 @@ class _Submission:
     retry_backoff: float
     faults: Optional[FaultPlan] = None
     store: Optional[SweepStore] = None
+    #: In-process only: live per-cell options and the one stage cache
+    #: every group of the submission shares.
+    keep_results: bool = False
+    observer_factory: Optional[ObserverFactory] = None
+    cache: Optional[PipelineCache] = None
     #: Fair-scheduling tag: the pending-group queue round-robins across
     #: distinct client tags, FIFO within a tag (``None`` is a tag too).
     client: Optional[str] = None
@@ -423,6 +539,7 @@ class _Submission:
     skey_by_index: Dict[int, str] = field(default_factory=dict)
     metrics_by_index: Dict[int, Dict[str, Any]] = field(default_factory=dict)
     errors_by_index: Dict[int, SweepCellError] = field(default_factory=dict)
+    results_by_index: Dict[int, RuntimeResult] = field(default_factory=dict)
     outstanding: int = 0
     finished: bool = False
     cancelled: bool = False
@@ -448,7 +565,11 @@ class _PoolGroup:
 
 
 class _WorkerSlot:
-    """Parent-side record of one resident worker process."""
+    """Parent-side record of one resident worker process.
+
+    The in-process backend has one slot with no process: a group it is
+    handed runs at dispatch, and its ``outcome`` waits for collection.
+    """
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -458,6 +579,7 @@ class _WorkerSlot:
         self.current: Optional[_PoolGroup] = None
         self.job_id: Optional[int] = None
         self.deadline: Optional[float] = None
+        self.outcome: Optional[_GroupOutcome] = None
 
     @property
     def idle(self) -> bool:
@@ -501,8 +623,7 @@ class SweepTicket:
     def result(self) -> SweepResult:
         """Drive the pool until this submission completes; its table."""
         sub = self._submission
-        if not sub.finished:
-            self._pool._pump(sub)
+        self._pool._pump(sub)
         if sub.result is None:
             sub.result = self._pool._assemble(sub)
         if sub.on_error == "raise" and sub.result.failed_rows:
@@ -523,9 +644,12 @@ class SweepPool:
         Maximum resident worker processes.  Slots are spawned lazily as
         groups demand them (a submission fully served by its checkpoint
         store spawns nothing) and then stay alive until :meth:`close`.
+        ``0`` selects the in-process backend: groups run in the calling
+        thread and nothing is spawned.
     group_timeout, max_retries, retry_backoff:
         Pool-wide supervision defaults, overridable per ``submit``;
-        semantics identical to :func:`~repro.experiment.sweep.run_sweep`.
+        semantics identical to :func:`~repro.experiment.sweep.run_sweep`
+        (``group_timeout`` must be ``None`` or ``> 0``).
     max_cached_groups, max_cached_payloads:
         Bounds of each worker's warm LRUs (pipeline caches per schedule
         key / decoded payloads by content hash).
@@ -544,12 +668,9 @@ class SweepPool:
         max_cached_groups: int = 8,
         max_cached_payloads: int = 64,
     ) -> None:
-        if workers < 1:
-            raise ModelError("SweepPool needs workers >= 1")
-        if max_retries < 0:
-            raise ModelError("max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ModelError("retry_backoff must be >= 0")
+        if workers < 0:
+            raise ModelError("SweepPool needs workers >= 0")
+        _check_supervision(group_timeout, max_retries, retry_backoff)
         if max_cached_groups < 1 or max_cached_payloads < 1:
             raise ModelError("worker cache bounds must be >= 1")
         self.workers = workers
@@ -656,6 +777,9 @@ class SweepPool:
         max_retries: Optional[int] = None,
         retry_backoff: Optional[float] = None,
         client: Optional[str] = None,
+        keep_results: bool = False,
+        observer_factory: Optional[ObserverFactory] = None,
+        cache: Optional[PipelineCache] = None,
     ) -> SweepTicket:
         """Enqueue a matrix; returns a :class:`SweepTicket` immediately.
 
@@ -678,13 +802,14 @@ class SweepPool:
         retry, failure, finish) — the live-telemetry complement of the
         per-cell ``on_row`` row stream.
 
-        Every cell must be dispatchable (scenarios that embed code the
-        workers cannot reconstruct are refused with
-        :class:`~repro.errors.ModelError`); callers wanting the
-        serial-fallback behaviour go through ``run_sweep(workers=N)``.
+        ``keep_results``, ``observer_factory`` and ``cache`` have
+        :func:`~repro.experiment.sweep.run_sweep`'s semantics and need
+        the in-process backend (``workers=0``); a process pool refuses
+        them, and any cell whose scenario embeds code the workers cannot
+        reconstruct, with :class:`~repro.errors.ModelError`.  Under
+        ``keep_results`` or ``observer_factory`` the store is written but
+        not read: those sweeps need live runs.
         """
-        from .parallel import _group_cells
-
         if self._closed:
             raise ModelError("SweepPool is closed")
         metrics, want_data = _check_metrics(metrics)
@@ -692,13 +817,24 @@ class SweepPool:
             raise ModelError(
                 f"on_error must be 'capture' or 'raise', got {on_error!r}"
             )
+        _check_supervision(group_timeout, max_retries, retry_backoff)
+        in_process = self.workers == 0
+        if in_process:
+            # One stage cache, shared by every group of the submission.
+            cache = cache if cache is not None else PipelineCache()
+        else:
+            reason = _live_object_reason(keep_results, observer_factory, cache)
+            if reason is not None:
+                raise ModelError(reason)
         if cells is None:
             cells = list(matrix.cells())
         else:
             cells = list(cells)
         for cell in cells:
             _check_cell_modes(cell, metrics, want_data)
-            blocker = cell.scenario.dispatch_blocker()
+            blocker = (
+                None if in_process else cell.scenario.dispatch_blocker()
+            )
             if blocker is not None:
                 raise ModelError(
                     f"scenario is not dispatchable: {blocker}"
@@ -735,20 +871,24 @@ class SweepPool:
             ),
             faults=faults,
             store=store,
+            keep_results=keep_results,
+            observer_factory=observer_factory,
+            cache=cache,
             client=client,
         )
         self._next_sid += 1
 
         # The parent owns the store: hits are resolved before dispatch
         # (hit cells never reach a worker) and computed rows are
-        # persisted as group replies merge — workers stay store-free.
+        # persisted as groups merge — workers stay store-free.
         submission.mkey = metrics_key(metrics) if store is not None else ""
+        store_read = not keep_results and observer_factory is None
         compute_cells: List[SweepCell] = []
         for cell in cells:
-            if store is not None:
-                skey = store_key(cell.scenario)
-                if skey is not None:
-                    submission.skey_by_index[cell.index] = skey
+            skey = store_key(cell.scenario) if store is not None else None
+            if skey is not None:
+                submission.skey_by_index[cell.index] = skey
+                if store_read:
                     stored = store.get(skey, submission.mkey)
                     if stored is not None:
                         stats.store_hits += 1
@@ -761,7 +901,7 @@ class SweepPool:
             self._notify(submission, "store-hits", cells=stats.store_hits)
 
         groups = _group_cells(compute_cells)
-        stats.workers = min(self.workers, len(groups)) if groups else 1
+        stats.workers = min(self.workers, len(groups)) or 1
         submission.outstanding = len(groups)
         for group_cells in groups:
             self._pending.append(_PoolGroup(
@@ -842,8 +982,14 @@ class SweepPool:
         Affinity first: a schedule key always returns to the slot that
         computed it (waiting for that slot if busy — warmth beats a
         cold start elsewhere).  New keys take an idle slot, growing the
-        pool lazily up to its ``workers`` bound.
+        pool lazily up to its ``workers`` bound.  The in-process backend
+        has exactly one slot, so it runs one group at a time.
         """
+        if self.workers == 0:
+            if not self._slots:
+                self._slots.append(_WorkerSlot(0))
+            slot = self._slots[0]
+            return slot if slot.idle else None
         index = self._affinity.get(group.key)
         if index is not None:
             slot = self._slots[index]
@@ -907,6 +1053,14 @@ class SweepPool:
     ) -> None:
         self._pending.remove(group)
         submission = group.submission
+        if slot.process is None:
+            slot.current = group
+            self._notify(
+                submission, "dispatch",
+                gid=group.gid, cells=len(group.cells), detail="in-process",
+            )
+            self._run_in_process(group, slot)
+            return
         payload = _encode_service_group(
             group.cells, submission.metrics, submission.lean,
             faults=submission.faults, attempt=group.attempt,
@@ -931,9 +1085,41 @@ class SweepPool:
             now + timeout if timeout is not None and slot.ready else None
         )
 
+    def _run_in_process(self, group: _PoolGroup, slot: _WorkerSlot) -> None:
+        """Run *group* in the calling thread; its outcome awaits collection.
+
+        Under ``on_error="raise"`` a failing cell's own exception
+        propagates from here, after the group is finished so the ticket
+        cannot wedge.
+        """
+        submission = group.submission
+        try:
+            slot.outcome = _run_group(
+                group.cells, submission.metrics, submission.want_data,
+                lean=submission.lean,
+                cache=submission.cache,
+                faults=submission.faults,
+                in_worker=False,
+                keep_results=submission.keep_results,
+                observer_factory=submission.observer_factory,
+                on_error=submission.on_error,
+            )
+        except BaseException:
+            slot.current = None
+            self._finish_group(group)
+            raise
+
     # -- collection -----------------------------------------------------
     def _collect_ready(self, *, block: bool, fire_interrupts: bool) -> bool:
         """Merge every available reply; True if any group finished."""
+        if self.workers == 0:
+            slot = self._slots[0] if self._slots else None
+            if slot is None or slot.outcome is None:
+                return False
+            group, outcome = slot.current, slot.outcome
+            slot.current = slot.outcome = None
+            self._complete(group, outcome, fire_interrupts)
+            return True
         if self._outbox is None:
             if block:
                 time.sleep(_POLL_INTERVAL)
@@ -970,41 +1156,50 @@ class SweepPool:
             slot.job_id = None
             slot.deadline = None
             merged_any = True
-            # Group finalisation is exception-safe: once the group has
-            # left its slot it is on neither the pending queue nor a
-            # slot, so an escaping error from the merge (a raising user
-            # ``on_row`` callback or ``store.put``) would otherwise
-            # strand it — ``submission.outstanding`` never reaches 0
-            # and ``ticket.result()`` pumps forever.  Finish the
-            # group's bookkeeping first, then let the error surface.
-            try:
-                self._merge_reply(group, payload)
-            except BaseException:
-                self._finish_group(group)
-                raise
-            if (
-                fire_interrupts
-                and group.submission.faults is not None
-                and any(
-                    i in group.submission.faults.interrupt_at
-                    for i in group.indices
-                )
-            ):
-                # Merge-then-interrupt, like a real Ctrl-C landing after
-                # the reply: the firing group's own rows are kept, its
-                # submission is cut short.
-                self._mark_interrupted(group.submission)
-                raise KeyboardInterrupt
-            # group-done precedes the "finished" milestone _finish_group
-            # may emit — the stream stays causally ordered for renderers.
-            self._notify(
-                group.submission, "group-done",
-                gid=group.gid, cells=len(group.cells),
-            )
-            self._finish_group(group)
+            self._complete(group, _decode_reply(payload), fire_interrupts)
 
-    def _merge_reply(self, group: _PoolGroup, payload: str) -> None:
-        """Fold one group reply into its submission's accumulating state.
+    def _complete(
+        self, group: _PoolGroup, outcome: _GroupOutcome,
+        fire_interrupts: bool,
+    ) -> None:
+        """Merge a finished group's outcome and finish the group."""
+        # Group finalisation is exception-safe: once the group has
+        # left its slot it is on neither the pending queue nor a
+        # slot, so an escaping error from the merge (a raising user
+        # ``on_row`` callback or ``store.put``) would otherwise
+        # strand it — ``submission.outstanding`` never reaches 0
+        # and ``ticket.result()`` pumps forever.  Finish the
+        # group's bookkeeping first, then let the error surface.
+        try:
+            self._merge_reply(group, outcome)
+        except BaseException:
+            self._finish_group(group)
+            raise
+        if outcome.interrupted or (
+            fire_interrupts
+            and group.submission.faults is not None
+            and any(
+                i in group.submission.faults.interrupt_at
+                for i in group.indices
+            )
+        ):
+            # Merge-then-interrupt, like a real Ctrl-C landing after
+            # the reply: the firing group's completed rows are kept,
+            # its submission is cut short.
+            self._mark_interrupted(group.submission)
+            if fire_interrupts:
+                raise KeyboardInterrupt
+            return
+        # group-done precedes the "finished" milestone _finish_group
+        # may emit — the stream stays causally ordered for renderers.
+        self._notify(
+            group.submission, "group-done",
+            gid=group.gid, cells=len(group.cells),
+        )
+        self._finish_group(group)
+
+    def _merge_reply(self, group: _PoolGroup, outcome: _GroupOutcome) -> None:
+        """Fold one group's outcome into its submission's accumulating state.
 
         User code runs inside this merge (``store.put`` and the
         ``on_row`` callback), and it may raise.  The merge is structured
@@ -1015,64 +1210,46 @@ class SweepPool:
         then finishes the group before letting it propagate, so a buggy
         sink degrades to a visible exception instead of a wedged ticket.
         """
-        from ..io.json_io import value_from_jsonable
-
         submission = group.submission
         stats = submission.stats
-        data = json.loads(payload)
         cell_by_index = {cell.index: cell for cell in group.cells}
         callback_error: Optional[BaseException] = None
-        for row in data["rows"]:
-            index = int(row["index"])
-            cell_metrics = {
-                name: value_from_jsonable(value)
-                for name, value in row["metrics"].items()
-            }
+        for index, cell_metrics in outcome.metrics.items():
             submission.metrics_by_index[index] = cell_metrics
+            result = outcome.results.get(index)
+            if result is not None:
+                submission.results_by_index[index] = result
             try:
-                if (
-                    submission.store is not None
-                    and index in submission.skey_by_index
-                ):
+                if index in submission.skey_by_index:
                     submission.store.put(
                         submission.skey_by_index[index], submission.mkey,
                         cell_metrics,
                     )
                 self._stream_row(
-                    submission, cell_by_index[index], cell_metrics
+                    submission, cell_by_index[index], cell_metrics, result
                 )
             except Exception as exc:
                 if callback_error is None:
                     callback_error = exc
-        for item in data.get("errors", ()):
-            error = item["error"]
-            submission.errors_by_index[int(item["index"])] = SweepCellError(
-                error_type=error["type"],
-                message=error["message"],
-                stage=error.get("stage", "run"),
-                retries=int(error.get("retries", 0)),
-            )
-            stats.failed_cells += 1
-        worker_stats = data["stats"]
-        stats.runs += int(worker_stats["runs"])
-        stats.networks_built += int(worker_stats["networks_built"])
-        stats.derivations_computed += int(
-            worker_stats["derivations_computed"]
-        )
-        stats.schedules_computed += int(worker_stats["schedules_computed"])
-        if worker_stats.get("group_cache_hit"):
-            stats.warm_group_hits += 1
-        stats.payload_cache_hits += int(worker_stats.get("payload_hits", 0))
+        submission.errors_by_index.update(outcome.errors)
+        stats.failed_cells += len(outcome.errors)
+        stats.runs += len(outcome.metrics)
+        stats.networks_built += outcome.networks_built
+        stats.derivations_computed += outcome.derivations_computed
+        stats.schedules_computed += outcome.schedules_computed
+        stats.warm_group_hits += int(outcome.group_cache_hit)
+        stats.payload_cache_hits += outcome.payload_hits
         if callback_error is not None:
             raise callback_error
 
     def _stream_row(
         self, submission: _Submission, cell: SweepCell,
-        metrics: Dict[str, Any],
+        metrics: Dict[str, Any], result: Optional[RuntimeResult] = None,
     ) -> None:
         if submission.on_row is not None:
             submission.on_row(
-                SweepRow(cell=dict(cell.coords), metrics=metrics)
+                SweepRow(cell=dict(cell.coords), metrics=metrics,
+                         result=result)
             )
 
     def _finish_group(self, group: _PoolGroup) -> None:
@@ -1183,29 +1360,10 @@ class SweepPool:
         return recovered
 
     # -- driving --------------------------------------------------------
-    def _pump(self, submission: Optional[_Submission] = None) -> None:
-        """Drive dispatch/collect until *submission* (or everything) done.
-
-        On ``KeyboardInterrupt`` — real or :class:`FaultPlan`-injected —
-        completed replies are drained into their submissions, every
-        worker is terminated and reaped (no orphans), and all active
-        submissions become partial results with ``stats.interrupted``.
-        """
-        try:
-            while True:
-                if submission is not None:
-                    if submission.finished:
-                        return
-                elif not self._pending and all(s.idle for s in self._slots):
-                    return
-                now = time.monotonic()
-                self._dispatch_ready(now)
-                if self._collect_ready(block=True, fire_interrupts=True):
-                    continue
-                self._check_crashes(now)
-                self._check_timeouts(now)
-        except KeyboardInterrupt:
-            self._interrupt()
+    def _pump(self, submission: _Submission) -> None:
+        """Drive :meth:`pump_once` until *submission* is done."""
+        while not submission.finished:
+            self.pump_once()
 
     def pump_once(self) -> bool:
         """Run one dispatch/collect/supervise cycle and return.
@@ -1214,13 +1372,15 @@ class SweepPool:
         :meth:`SweepTicket.result`: an external driver (the sweep
         service's orchestrator thread) interleaves ``pump_once`` with
         its own work — accepting new submissions between cycles — while
-        the pool makes progress on everything outstanding.  Blocks at
-        most ~`_POLL_INTERVAL` waiting for worker replies.  Returns
-        True when any reply was merged this cycle (results may have
-        completed).  A ``KeyboardInterrupt`` — real or
-        :class:`FaultPlan`-injected — tears the pool down exactly as
-        the blocking path does and resolves all tickets as interrupted
-        partials.
+        the pool makes progress on everything outstanding.  A process
+        pool blocks at most ~`_POLL_INTERVAL` waiting for worker
+        replies; the in-process backend runs one group and never
+        sleeps.  Returns True when any group was merged this cycle
+        (results may have completed).  On ``KeyboardInterrupt`` — real
+        or :class:`FaultPlan`-injected — completed groups are drained
+        into their submissions, every worker is terminated and reaped
+        (no orphans), and all active submissions become partial results
+        with ``stats.interrupted``.
         """
         try:
             now = time.monotonic()
@@ -1302,6 +1462,7 @@ class SweepPool:
             SweepRow(
                 cell=dict(cell.coords),
                 metrics=submission.metrics_by_index[cell.index],
+                result=submission.results_by_index.get(cell.index),
             )
             for cell in submission.cells
             if cell.index in submission.metrics_by_index

@@ -25,20 +25,21 @@ Two properties make sweeps cheap at scenario scale:
 
 Rows are deterministic: the same matrix produces bit-identical rows on
 every run (exact rational metrics; jitter models are seed-keyed), which is
-what makes sweep tables comparable across machines and commits.  The
-``workers`` parameter fans the cells out across worker processes — one
-worker task per distinct :meth:`~repro.experiment.scenario.Scenario.
-schedule_key` group, each with its own cache, scenarios and rows crossing
-the process boundary through the exact JSON wire format — and the rows
-stay bit-identical to a serial run of the same matrix
-(:mod:`repro.experiment.parallel`).
+what makes sweep tables comparable across machines and commits.  One
+engine runs every sweep: :func:`run_sweep` submits the matrix to a
+transient :class:`~repro.experiment.pool.SweepPool`, which executes it in
+process or — with ``workers`` > 1 — fans its
+:meth:`~repro.experiment.scenario.Scenario.schedule_key` groups out to
+worker processes, one group per task, each with its own cache, scenarios
+and rows crossing the process boundary through the exact JSON wire
+format.  Either way every group runs through :func:`_run_group` and is
+booked by the same pool merge, so the rows stay bit-identical.
 
 Sweeps are **fault-tolerant**: a failing cell does not abort the table.
 By default (``on_error="capture"``) the exception becomes a structured
 :class:`SweepCellError` on a *failed row* (``SweepResult.failed_rows``,
-counted in ``SweepStats.failed_cells``) and every other cell still runs —
-serial and parallel sweeps share these semantics through the same capture
-helper.  ``KeyboardInterrupt`` returns the partial table computed so far
+counted in ``SweepStats.failed_cells``) and every other cell still runs.
+``KeyboardInterrupt`` returns the partial table computed so far
 (``stats.interrupted``).  A checkpoint store
 (:mod:`repro.experiment.store`, ``run_sweep(store=...)``) persists each
 healthy row under the scenario's content hash, so resuming an interrupted
@@ -79,7 +80,7 @@ from ..runtime.observers import (
 from .experiment import Experiment, PipelineCache
 from .faults import FaultPlan, apply_cell_faults
 from .scenario import Scenario
-from .store import SweepStore, metrics_key, store_key
+from .store import SweepStore
 
 __all__ = [
     "DATA_METRICS",
@@ -156,6 +157,10 @@ class SweepCell:
     scenario: Scenario
 
 
+#: Per-cell extra observers, attached live to that cell's run.
+ObserverFactory = Callable[[SweepCell], Sequence[ExecutionObserver]]
+
+
 class ScenarioMatrix:
     """Cartesian product of axis substitutions over a base scenario.
 
@@ -220,7 +225,7 @@ class SweepCellError:
     names the pipeline stage that raised (``network`` / ``derivation`` /
     ``scheduling`` / ``run`` — attributed by :class:`PipelineCache`);
     ``retries`` counts the group redispatches that preceded the failure
-    (always 0 on the serial path, which has no supervisor).
+    (always 0 in process, where there is no supervisor).
     """
 
     error_type: str
@@ -263,13 +268,13 @@ class SweepRow:
 class SweepStats:
     """What the sweep actually computed (the stage-reuse contract).
 
-    ``workers`` is the number of processes that executed cells (1 for the
-    serial path).  When ``run_sweep(workers=N)`` had to fall back to the
-    serial path, ``parallel_fallback`` documents why.  Parallel sweeps
+    ``workers`` is the number of processes that executed cells (1 for an
+    in-process sweep).  When ``run_sweep(workers=N)`` had to run in
+    process, ``parallel_fallback`` documents why.  Process-pool sweeps
     merge the per-worker cache counters by summation, so the contract
     becomes *per worker group*: every schedule-key group pays exactly one
     derivation and one scheduling pass (worker caches cannot share
-    derivations across processes the way the serial path shares them
+    derivations across processes the way one in-process cache shares them
     across schedule keys).
     """
 
@@ -282,7 +287,7 @@ class SweepStats:
     parallel_fallback: Optional[str] = None
     #: Cells whose failure was captured as an error row (``failed_rows``).
     failed_cells: int = 0
-    #: Group redispatches the parallel supervisor performed (crash/timeout
+    #: Group redispatches the process supervisor performed (crash/timeout
     #: recovery); retried groups re-pay their stage computations, so the
     #: cache counters above count *work done*, not distinct artifacts.
     retries: int = 0
@@ -297,9 +302,8 @@ class SweepStats:
     interrupted: bool = False
     #: True when the sweep ran on an already-warm resident
     #: :class:`~repro.experiment.pool.SweepPool` (at least one live worker
-    #: at submit time — no spawn cost was paid).  Always False on the
-    #: serial path and on the transient pool ``run_sweep(workers=N)``
-    #: opens.
+    #: at submit time — no spawn cost was paid).  Always False in
+    #: process and on the transient pool ``run_sweep`` opens.
     pool_reused: bool = False
     #: Schedule-key groups served by a worker's warm ``PipelineCache``
     #: (resident pool only): each such group paid **zero** new
@@ -418,12 +422,12 @@ def _run_cell(
     cache: PipelineCache,
     extra_observers: Sequence[ExecutionObserver] = (),
 ) -> Tuple[Dict[str, Any], Optional[RuntimeResult]]:
-    """Execute one cell; the single code path serial and parallel share.
+    """Execute one cell; called only by :func:`_run_group`.
 
     Returns the row's metric values plus the retained result (``None``
     unless *keep_results*).  Keeping this the only place a cell is
-    configured and executed is what makes parallel rows bit-identical to
-    serial rows by construction.
+    configured and executed is what makes process-pool rows
+    bit-identical to in-process rows by construction.
     """
     scenario = cell.scenario
     _check_cell_modes(cell, metrics, want_data)
@@ -470,15 +474,91 @@ def _run_cell(
     )
 
 
+@dataclass
+class _GroupOutcome:
+    """What running one schedule-key group produced, keyed by cell index.
+
+    The stage counters are deltas over the group's run, so a group served
+    entirely from a warm cache contributes zero.  ``group_cache_hit`` and
+    ``payload_hits`` report a resident worker's warm-cache reuse; they
+    stay unset in process.
+    """
+
+    metrics: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    errors: Dict[int, SweepCellError] = field(default_factory=dict)
+    results: Dict[int, RuntimeResult] = field(default_factory=dict)
+    networks_built: int = 0
+    derivations_computed: int = 0
+    schedules_computed: int = 0
+    interrupted: bool = False
+    group_cache_hit: bool = False
+    payload_hits: int = 0
+
+
+def _run_group(
+    cells: Sequence[SweepCell],
+    metrics: Tuple[str, ...],
+    want_data: bool,
+    *,
+    lean: bool,
+    cache: PipelineCache,
+    faults: Optional[FaultPlan],
+    in_worker: bool,
+    retries: int = 0,
+    keep_results: bool = False,
+    observer_factory: Optional[ObserverFactory] = None,
+    on_error: str = "capture",
+) -> _GroupOutcome:
+    """Execute one group's cells in order; the one loop over a group.
+
+    A worker process and the in-process backend both run groups through
+    here, which is what makes their rows bit-identical by construction.
+    A raising cell becomes an error record (stamped with *retries*, the
+    group's redispatch count) while the rest of the group still runs,
+    unless *on_error* is ``"raise"``, which re-raises the cell's own
+    exception.  A ``KeyboardInterrupt`` — real, or a parent-side
+    :class:`FaultPlan` interrupt, which fires before its cell — stops the
+    group and returns what completed with ``interrupted`` set.
+    """
+    outcome = _GroupOutcome()
+    nets0 = cache.networks_built
+    derivs0 = cache.derivations_computed
+    scheds0 = cache.schedules_computed
+    for cell in cells:
+        try:
+            apply_cell_faults(faults, cell.index, in_worker=in_worker)
+            extra = (
+                observer_factory(cell) if observer_factory is not None else ()
+            )
+            cell_metrics, result = _run_cell(
+                cell, metrics, want_data,
+                lean=lean, keep_results=keep_results, cache=cache,
+                extra_observers=extra,
+            )
+        except KeyboardInterrupt:
+            outcome.interrupted = True
+            break
+        except Exception as exc:
+            if on_error == "raise":
+                raise
+            outcome.errors[cell.index] = _cell_error(exc, retries)
+            continue
+        outcome.metrics[cell.index] = cell_metrics
+        if result is not None:
+            outcome.results[cell.index] = result
+    outcome.networks_built = cache.networks_built - nets0
+    outcome.derivations_computed = cache.derivations_computed - derivs0
+    outcome.schedules_computed = cache.schedules_computed - scheds0
+    return outcome
+
+
 def run_sweep(
     matrix: ScenarioMatrix,
     metrics: Sequence[str] = DEFAULT_METRICS,
     *,
     lean: bool = True,
     keep_results: bool = False,
-    observer_factory: Optional[
-        Callable[[SweepCell], Sequence[ExecutionObserver]]
-    ] = None,
+    observer_factory: Optional[ObserverFactory] = None,
     cache: Optional[PipelineCache] = None,
     workers: int = 1,
     store: Optional[SweepStore] = None,
@@ -491,6 +571,12 @@ def run_sweep(
     on_progress: Optional[Callable[[Any], None]] = None,
 ) -> SweepResult:
     """Execute every cell of *matrix* and tabulate the requested *metrics*.
+
+    The sweep runs on a transient :class:`~repro.experiment.pool.SweepPool`
+    opened for this one submission: in process (``workers=0`` pool) or
+    across worker processes.  Callers serving repeated sweep traffic
+    should hold a ``SweepPool`` open instead and keep its workers (and
+    their warm caches) across submissions.
 
     Parameters
     ----------
@@ -515,15 +601,14 @@ def run_sweep(
         Stage cache to (re)use; by default every sweep gets a fresh one.
         Pass a shared cache to chain sweeps over the same workloads.
     workers:
-        Maximum number of worker processes; the default 1 runs serially
-        in-process.  ``workers > 1`` partitions the cells into
-        schedule-key groups and dispatches them to spawned workers
-        (:mod:`repro.experiment.parallel`), falling back to the serial
-        path — with the reason recorded in
-        :attr:`SweepStats.parallel_fallback` — when the sweep cannot be
-        dispatched (an ``observer_factory`` or ``keep_results`` sweep,
-        non-serialisable scenarios, a shared ``cache``, or a single
-        schedule-key group).
+        Maximum number of worker processes.  The default 1 runs every
+        cell in the calling process.  ``workers > 1`` dispatches the
+        cells' schedule-key groups to spawned worker processes, unless
+        :func:`~repro.experiment.pool.serial_fallback_reason` names a
+        reason the sweep cannot be dispatched (an ``observer_factory`` or
+        ``keep_results`` sweep, non-serialisable scenarios, a shared
+        ``cache``, or a single schedule-key group): then it runs in
+        process and :attr:`SweepStats.parallel_fallback` records why.
     store:
         Optional checkpoint store (:mod:`repro.experiment.store`).  Cells
         whose ``(scenario_hash, metrics)`` key the store already holds are
@@ -539,147 +624,64 @@ def run_sweep(
     on_error:
         ``"capture"`` (default) turns a failing cell into an error row on
         :attr:`SweepResult.failed_rows` and keeps sweeping; ``"raise"``
-        restores abort-on-first-failure (the serial path re-raises the
-        cell's exception, the parallel path raises
+        restores abort-on-first-failure (an in-process sweep re-raises the
+        cell's exception, a process pool raises
         :class:`~repro.errors.SweepError` naming the first failed cell).
     group_timeout:
-        Per-group deadline in seconds for the parallel supervisor: a
-        dispatched group that does not reply in time is terminated and
-        retried (workers are pre-booted when deadlines are active, so the
-        deadline measures group runtime, not process spawn).  ``None``
-        (default) disables deadlines.  Serial sweeps ignore it (nothing
-        to terminate in-process).
+        Per-group deadline in seconds (``> 0``) for the process
+        supervisor: a dispatched group that does not reply in time is
+        terminated and retried (workers are pre-booted when deadlines are
+        active, so the deadline measures group runtime, not process
+        spawn).  ``None`` (default) disables deadlines.  In-process
+        sweeps ignore it (nothing to terminate).
     max_retries:
-        How many times the parallel supervisor redispatches a group after
+        How many times the process supervisor redispatches a group after
         a worker crash or timeout before degrading it to error rows.
     retry_backoff:
         Base seconds of the exponential backoff between a group's
         redispatches (``retry_backoff * 2**retries_so_far``).
     on_row:
         Optional per-cell row stream: called with each *healthy*
-        :class:`SweepRow` as it completes (store hits included), before
-        the assembled result returns — the same contract as
-        :meth:`SweepPool.submit`'s ``on_row``, so live sinks
+        :class:`SweepRow` (store hits included) before the assembled
+        result returns — the same contract as :meth:`SweepPool.submit`'s
+        ``on_row``, so live sinks
         (:class:`~repro.runtime.telemetry.ProgressObserver`) work on
-        both paths.  The callback is user code and *is* part of the
-        sweep: an exception it raises surfaces to the caller (after
-        the parallel backend's bookkeeping completes).
+        every backend.  Rows stream in completion order, group by group
+        (store hits first); the returned table is in cell order.  The
+        callback is user code and *is* part of the sweep: an exception it
+        raises surfaces to the caller after its group's bookkeeping
+        completes.
     on_progress:
-        Optional milestone stream for the parallel backend
+        Optional milestone stream of a process-pool sweep
         (:class:`~repro.experiment.pool.PoolEvent` values: enqueue,
         dispatch, group completion, retries).  Delivery is best-effort
-        — exceptions are swallowed — and the serial path emits nothing
-        (there are no groups or dispatches to report).
+        — exceptions are swallowed — and an in-process sweep emits
+        nothing.
     """
-    metrics, want_data = _check_metrics(metrics)
+    from .pool import SweepPool, serial_fallback_reason
+
     if workers < 1:
         raise ModelError("workers must be >= 1")
-    if on_error not in ("capture", "raise"):
-        raise ModelError(
-            f"on_error must be 'capture' or 'raise', got {on_error!r}"
-        )
-    if max_retries < 0:
-        raise ModelError("max_retries must be >= 0")
-    if retry_backoff < 0:
-        raise ModelError("retry_backoff must be >= 0")
-
-    fallback: Optional[str] = None
-    cells: Optional[List[SweepCell]] = None
-    if workers > 1:
-        from .parallel import _serial_fallback_reason, run_sweep_parallel
-
-        cells = list(matrix.cells())
-        fallback = _serial_fallback_reason(
-            cells,
-            keep_results=keep_results,
-            observer_factory=observer_factory,
+    fallback = None if workers == 1 else serial_fallback_reason(
+        matrix,
+        keep_results=keep_results,
+        observer_factory=observer_factory,
+        cache=cache,
+    )
+    in_process = workers == 1 or fallback is not None
+    with SweepPool(
+        0 if in_process else workers,
+        group_timeout=group_timeout,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+    ) as pool:
+        result = pool.submit(
+            matrix, metrics,
+            lean=lean, store=store, faults=faults,
+            on_error=on_error, on_row=on_row,
+            on_progress=None if in_process else on_progress,
+            keep_results=keep_results, observer_factory=observer_factory,
             cache=cache,
-        )
-        if fallback is None:
-            return run_sweep_parallel(
-                matrix, metrics, want_data,
-                lean=lean, workers=workers, cells=cells,
-                store=store, faults=faults, on_error=on_error,
-                group_timeout=group_timeout, max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                on_row=on_row, on_progress=on_progress,
-            )
-
-    if cells is None:
-        cells = list(matrix.cells())
-    # Misconfiguration (records_only base vs data metrics) raises up
-    # front, before any cell runs — it is not a per-cell failure to
-    # capture, and the parallel path checks identically before dispatch.
-    for cell in cells:
-        _check_cell_modes(cell, metrics, want_data)
-
-    cache = cache if cache is not None else PipelineCache()
-    rows: List[SweepRow] = []
-    failed_rows: List[SweepRow] = []
-    stats = SweepStats(cells=len(matrix), parallel_fallback=fallback)
-    # Store reads are bypassed when the caller needs live runs (retained
-    # results, live observers); freshly-computed rows are still persisted.
-    store_read = (
-        store is not None and not keep_results and observer_factory is None
-    )
-    mkey = metrics_key(metrics) if store is not None else ""
-    # Stats report what *this* sweep paid: with a shared (pre-warmed)
-    # cache the counters are cumulative, so snapshot them and store deltas.
-    nets0 = cache.networks_built
-    derivs0 = cache.derivations_computed
-    scheds0 = cache.schedules_computed
-    for cell in cells:
-        skey = store_key(cell.scenario) if store is not None else None
-        if store_read and skey is not None:
-            stored = store.get(skey, mkey)
-            if stored is not None:
-                stats.store_hits += 1
-                row = SweepRow(cell=dict(cell.coords), metrics=stored)
-                rows.append(row)
-                if on_row is not None:
-                    on_row(row)
-                continue
-            stats.store_misses += 1
-        try:
-            apply_cell_faults(faults, cell.index, in_worker=False)
-            extra = (
-                observer_factory(cell) if observer_factory is not None else ()
-            )
-            cell_metrics, result = _run_cell(
-                cell, metrics, want_data,
-                lean=lean, keep_results=keep_results, cache=cache,
-                extra_observers=extra,
-            )
-        except KeyboardInterrupt:
-            stats.interrupted = True
-            break
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            stats.failed_cells += 1
-            failed_rows.append(
-                SweepRow(
-                    cell=dict(cell.coords), metrics={},
-                    error=_cell_error(exc),
-                )
-            )
-            continue
-        stats.runs += 1
-        row = SweepRow(
-            cell=dict(cell.coords), metrics=cell_metrics, result=result
-        )
-        rows.append(row)
-        if store is not None and skey is not None:
-            store.put(skey, mkey, cell_metrics)
-        # Streamed *after* the row is booked (and persisted): a raising
-        # sink surfaces to the caller but never loses the row — the
-        # serial mirror of the pool's deferred-callback-error contract.
-        if on_row is not None:
-            on_row(row)
-    stats.networks_built = cache.networks_built - nets0
-    stats.derivations_computed = cache.derivations_computed - derivs0
-    stats.schedules_computed = cache.schedules_computed - scheds0
-    return SweepResult(
-        axes=dict(matrix.axes), metrics=metrics, rows=rows, stats=stats,
-        failed_rows=failed_rows,
-    )
+        ).result()
+    result.stats.parallel_fallback = fallback
+    return result

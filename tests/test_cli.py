@@ -277,6 +277,12 @@ class TestEntryPoint:
             main(["sweep", config])
         assert excinfo.value.code == 2
 
+    def test_negative_group_timeout_exits_two(self, sweep_config, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", sweep_config, "--group-timeout", "-1"])
+        assert excinfo.value.code == 2
+        assert "group_timeout" in capsys.readouterr().err
+
     def test_python_dash_m_entry(self, run_config):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", run_config],

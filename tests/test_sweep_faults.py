@@ -156,6 +156,29 @@ class TestSerialCapture:
         assert result.rows == clean.rows[:2]
         assert result.failed_rows == []
 
+    def test_mid_group_interrupt_keeps_the_groups_completed_rows(
+        self, clean
+    ):
+        # Cells 2 and 3 form one schedule-key group: the interrupt fires
+        # before cell 3, after cell 2 of the same group completed.
+        result = run_sweep(
+            fig1_matrix(), metrics=METRICS,
+            faults=FaultPlan(interrupt_at=(3,)),
+        )
+        assert result.stats.interrupted
+        assert result.stats.runs == 3
+        assert result.rows == clean.rows[:3]
+        assert result.failed_rows == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_group_timeout_must_be_positive(self, workers, timeout):
+        with pytest.raises(ModelError, match="group_timeout"):
+            run_sweep(
+                fig1_matrix(), metrics=METRICS, workers=workers,
+                group_timeout=timeout,
+            )
+
     def test_table_renders_failures_and_interrupts(self):
         result = run_sweep(
             fig1_matrix(), metrics=METRICS, faults=FaultPlan(raise_at=(2,))

@@ -11,14 +11,14 @@ from repro import ScenarioMatrix, run_sweep
 from repro.apps import fft_scenario, fig1_scenario, fms_scenario
 from repro.errors import ModelError, RuntimeModelError
 from repro.experiment import (
+    Experiment,
     PipelineCache,
     SweepStats,
     schedule_key_groups,
     serial_fallback_reason,
 )
-from repro.experiment.parallel import run_sweep_parallel
 from repro.io import sweep_result_from_dict, sweep_result_to_dict
-from repro.runtime import ExecutionObserver, OverheadModel
+from repro.runtime import ExecutionObserver, MetricsObserver, OverheadModel
 
 #: The headline acceptance matrix: jitter x overheads x processors over the
 #: FMS case study.  Two processor counts -> two schedule-key groups, so a
@@ -112,6 +112,45 @@ class TestParallelEquivalence:
         parallel = run_sweep(matrix, metrics=metrics, workers=2)
         assert parallel.rows == serial.rows
         assert parallel.stats.workers == 2
+
+    def test_group_order_differs_from_cell_order(self):
+        # The schedule key (processors) is the *fastest* axis, so groups
+        # are cells {0, 2} and {1, 3}: both engines run group by group,
+        # yet the table must come back in cell order.
+        metrics = ("executed_jobs", "missed_jobs", "worst_lateness",
+                   "makespan")
+        matrix = ScenarioMatrix(
+            fig1_scenario(n_frames=2),
+            {"jitter_seed": [0, 1], "processors": [2, 3]},
+        )
+        cells = list(matrix.cells())
+        in_order = [dict(cell.coords) for cell in cells]
+        streamed, pool_streamed = [], []
+        local = run_sweep(matrix, metrics=metrics, on_row=streamed.append)
+        pooled = run_sweep(
+            matrix, metrics=metrics, workers=2, on_row=pool_streamed.append
+        )
+        assert [row.cell for row in local.rows] == in_order
+        assert pooled.rows == local.rows
+        for cell, row in zip(cells, local.rows):
+            direct = MetricsObserver()
+            Experiment(cell.scenario).run(observers=[direct])
+            assert row.metrics == {
+                "executed_jobs": direct.executed_jobs,
+                "missed_jobs": direct.missed_jobs,
+                "worst_lateness": direct.worst_lateness,
+                "makespan": direct.makespan,
+            }
+        # on_row sees every row exactly once, in completion order: the
+        # in-process engine completes group {0, 2} before group {1, 3}.
+        assert [row.cell for row in streamed] == [
+            in_order[i] for i in (0, 2, 1, 3)
+        ]
+        assert sorted(
+            in_order.index(row.cell) for row in pool_streamed
+        ) == [0, 1, 2, 3]
+        assert local.stats.derivations_computed == 1
+        assert local.stats.schedules_computed == 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +318,6 @@ class TestSerialFallback:
         matrix = self.multi_group_matrix()
         with pytest.raises(ModelError):
             run_sweep(matrix, metrics=("executed_jobs",), workers=0)
-        with pytest.raises(ModelError):
-            run_sweep_parallel(
-                matrix, ("executed_jobs",), False, lean=True, workers=1
-            )
 
     def test_records_only_conflict_raises_before_dispatch(self):
         matrix = ScenarioMatrix(

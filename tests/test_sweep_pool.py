@@ -126,13 +126,96 @@ class TestWarmResubmit:
 
     def test_constructor_validation(self):
         with pytest.raises(ModelError):
-            SweepPool(workers=0)
+            SweepPool(workers=-1)
         with pytest.raises(ModelError):
             SweepPool(max_retries=-1)
         with pytest.raises(ModelError):
             SweepPool(retry_backoff=-0.1)
         with pytest.raises(ModelError):
             SweepPool(max_cached_groups=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_group_timeout_must_be_positive(self, timeout):
+        # A non-positive deadline expires on the first supervision check:
+        # every group would be killed and retried until its budget ran
+        # out.  Both the pool default and a per-submit override refuse it.
+        with pytest.raises(ModelError, match="group_timeout"):
+            SweepPool(group_timeout=timeout)
+        with SweepPool(workers=2) as pool:
+            with pytest.raises(ModelError, match="group_timeout"):
+                pool.submit(fig1_matrix(), METRICS, group_timeout=timeout)
+            assert not pool.started
+
+
+# ---------------------------------------------------------------------------
+# the in-process backend: SweepPool(workers=0)
+# ---------------------------------------------------------------------------
+class TestInProcessBackend:
+    def test_in_process_pool_matches_serial_and_stays_cold(self, fig1_serial):
+        with SweepPool(workers=0) as pool:
+            first = pool.submit(fig1_matrix(), METRICS).result()
+            second = pool.submit(fig1_matrix(), METRICS).result()
+            assert not pool.started
+        for result in (first, second):
+            assert result.rows == fig1_serial.rows
+            assert result.stats == fig1_serial.stats
+
+    def test_run_sweep_spawns_nothing_and_never_encodes(
+        self, fig1_serial, monkeypatch
+    ):
+        import time
+
+        import repro.experiment.pool as pool_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-process sweep used the wire/poll")
+
+        monkeypatch.setattr(pool_module, "_encode_service_group", refuse)
+        monkeypatch.setattr(time, "sleep", refuse)
+        result = run_sweep(fig1_matrix(), metrics=METRICS, workers=1)
+        assert result.rows == fig1_serial.rows
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("option", ["keep_results", "observer_factory",
+                                        "cache"])
+    def test_process_pool_refuses_live_objects(self, option):
+        from repro.experiment import PipelineCache, serial_fallback_reason
+
+        kwargs = {
+            "keep_results": {"keep_results": True},
+            "observer_factory": {"observer_factory": lambda cell: ()},
+            "cache": {"cache": PipelineCache()},
+        }[option]
+        with SweepPool(workers=2) as pool:
+            with pytest.raises(ModelError) as excinfo:
+                pool.submit(fig1_matrix(), METRICS, **kwargs)
+            assert not pool.started
+        assert str(excinfo.value) == serial_fallback_reason(
+            fig1_matrix(), **kwargs
+        )
+
+    def test_keep_results_rows_carry_results_when_streamed(self):
+        streamed = []
+        result = run_sweep(
+            fig1_matrix(), metrics=METRICS, keep_results=True,
+            on_row=streamed.append,
+        )
+        assert len(streamed) == len(result.rows) == len(fig1_matrix())
+        assert all(row.result is not None for row in result.rows)
+        assert all(row.result is not None for row in streamed)
+
+    def test_keep_results_writes_but_never_reads_the_store(self, fig1_serial):
+        store = MemorySweepStore()
+        for _ in range(2):  # the second pass finds a full store, unread
+            kept = run_sweep(
+                fig1_matrix(), metrics=METRICS, store=store,
+                keep_results=True,
+            )
+            assert kept.rows == fig1_serial.rows
+            assert kept.stats.runs == len(fig1_matrix())
+            assert kept.stats.store_hits == kept.stats.store_misses == 0
+        plain = run_sweep(fig1_matrix(), metrics=METRICS, store=store)
+        assert plain.stats.store_hits == len(fig1_matrix())
 
 
 # ---------------------------------------------------------------------------
