@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-faults test-pool test-hetero bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
+.PHONY: test test-faults test-pool soak-pool test-hetero bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks-as-tests.
 test:
@@ -19,6 +19,12 @@ test-faults:
 # Spawns real worker processes; also part of the tier-1 run.
 test-pool:
 	$(PY) -m pytest tests/test_sweep_pool.py -q
+
+# Kill-stress soak: 20 runs of the Fig. 1 sweep with one injected worker
+# kill on SweepPool(workers=2), each in its own subprocess under a 30 s
+# timeout.  Any wedged run or wrong row count fails the lane.
+soak-pool:
+	$(PY) tests/soak_pool_kill.py --runs 20
 
 # Heterogeneous-platform lane: the degenerate-platform bit-identity
 # contract against the Fraction oracles, exact speed scaling, platform

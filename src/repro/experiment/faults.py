@@ -20,9 +20,10 @@ Fault kinds
 ``kill_at``
     Hard-kill the worker process (``os._exit(1)``) holding the cell,
     ``times`` times — the stand-in for an OOM kill or segfault.  The
-    process supervisor detects the dead worker, respawns it and
-    requeues the group; an in-process sweep has no worker to kill, so
-    the fault degrades to an :class:`InjectedFault` error row.
+    process supervisor sees the dead worker as end-of-file on its pipe,
+    respawns it with a fresh pipe and requeues the group; an in-process
+    sweep has no worker to kill, so the fault degrades to an
+    :class:`InjectedFault` error row.
 ``delay_at``
     Sleep ``seconds`` before the cell executes, ``times`` times — the
     stand-in for a wedged cell, used to trip per-group deadlines.

@@ -23,9 +23,9 @@ the one merge here, so their rows are **bit-identical**:
   (``warm_group_hits`` / ``payload_cache_hits``; :meth:`~SweepPool.
   evict_caches` clears them).  Scenarios go out and rows come back as
   data in the exact tagged JSON wire format of :mod:`repro.io.json_io`.
-  Each worker owns an inbox queue and groups are routed by **schedule-
-  key affinity** — a key always returns to the worker that computed it —
-  so the warm state actually gets hit.
+  Each worker talks to the parent over its own pipe, and groups are
+  routed by **schedule-key affinity** — a key always returns to the
+  worker that computed it — so the warm state actually gets hit.
 
 :meth:`~SweepPool.submit` enqueues a matrix's groups and returns a
 :class:`SweepTicket` immediately; pending matrices interleave at group
@@ -33,11 +33,12 @@ granularity, rows stream through ``on_row`` as groups complete, and
 ``ticket.result()`` drives the pool until its submission finishes.
 Checkpoint-store hits are resolved parent-side before dispatch and
 computed rows are persisted as groups merge.  The process supervisor
-respawns a dead worker *into its slot* (only its group is charged a
-retry), terminates groups past their deadline, retries with exponential
-backoff up to ``max_retries``, and on ``KeyboardInterrupt`` drains
-completed groups, reaps every worker and returns the partial result
-with ``stats.interrupted`` set.  :class:`~repro.experiment.faults.
+sees a dead worker as end-of-file on its pipe and respawns it *into its
+slot* with a fresh pipe (only its group is charged a retry), terminates
+groups past their deadline, retries with exponential backoff up to
+``max_retries``, and on ``KeyboardInterrupt`` drains completed groups,
+reaps every worker and returns the partial result with
+``stats.interrupted`` set.  :class:`~repro.experiment.faults.
 FaultPlan` injection works per submission on both backends.
 
 Spawn's usual rule applies: a *script* using a process pool at import
@@ -49,10 +50,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue as _queue_mod
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import (
     Any,
     Callable,
@@ -98,7 +99,7 @@ __all__ = [
 ]
 
 #: Supervisor poll period [s]: how long a collect blocks for replies
-#: before re-checking dispatch, crashes and deadlines.
+#: before re-checking dispatch and deadlines.
 _POLL_INTERVAL = 0.02
 
 
@@ -475,33 +476,30 @@ def _decode_reply(payload: str) -> _GroupOutcome:
 
 
 def _service_worker(
-    index: int, inbox: Any, outbox: Any,
-    max_cached_groups: int, max_cached_payloads: int,
+    conn: Any, max_cached_groups: int, max_cached_payloads: int,
 ) -> None:
     """Resident worker main loop (spawn target).
 
-    Announces readiness (the parent starts deadline clocks only after
-    the boot, so a tight ``group_timeout`` measures group runtime, not
-    interpreter spawn), then serves ``run`` / ``evict`` messages until
-    ``stop``.  Warm state lives in :class:`_WorkerCaches` and survives
-    across messages — that persistence *is* the service.
+    Announces readiness on its pipe *conn* (the parent holds a group's
+    payload and deadline clock until then, so a tight ``group_timeout``
+    measures group runtime, not interpreter spawn), then serves ``run``
+    / ``evict`` messages until ``stop``.  The parent holding the only
+    other end, its death or close reads here as end-of-file and the
+    worker exits.  Warm state lives in :class:`_WorkerCaches` and
+    survives across messages — that persistence *is* the service.
     """
     caches = _WorkerCaches(max_cached_groups, max_cached_payloads)
     try:
-        outbox.put(("ready", index, None))
+        conn.send(("ready", None))
         while True:
-            message = inbox.get()
-            kind = message[0]
+            kind, payload = conn.recv()
             if kind == "stop":
                 return
             if kind == "evict":
                 caches.clear()
-                continue
-            if kind == "run":
-                _, job_id, payload = message
-                reply = _service_run_group(payload, caches)
-                outbox.put(("reply", index, (job_id, reply)))
-    except (KeyboardInterrupt, EOFError):
+            elif kind == "run":
+                conn.send(("reply", _service_run_group(payload, caches)))
+    except (EOFError, OSError, KeyboardInterrupt):
         return
 
 
@@ -567,17 +565,21 @@ class _PoolGroup:
 class _WorkerSlot:
     """Parent-side record of one resident worker process.
 
-    The in-process backend has one slot with no process: a group it is
-    handed runs at dispatch, and its ``outcome`` waits for collection.
+    ``conn`` is the parent's end of the worker's one pipe; a respawn
+    replaces both, so nothing from an earlier process can reach the
+    slot.  The in-process backend has one slot with no process: a group
+    it is handed runs at dispatch, and its ``outcome`` waits for
+    collection.
     """
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process: Any = None
-        self.inbox: Any = None
+        self.conn: Any = None
         self.ready = False
         self.current: Optional[_PoolGroup] = None
-        self.job_id: Optional[int] = None
+        #: The current group's payload, held until the worker is ready.
+        self.payload: Optional[str] = None
         self.deadline: Optional[float] = None
         self.outcome: Optional[_GroupOutcome] = None
 
@@ -687,11 +689,9 @@ class SweepPool:
         #: The client tag served by the most recent dispatch — the
         #: round-robin cursor of the fair scheduler (see `_dispatch_next`).
         self._last_client: Optional[str] = None
-        self._outbox: Any = None
         self._ctx: Any = None
         self._next_sid = 0
         self._next_gid = 0
-        self._next_job = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -712,31 +712,37 @@ class SweepPool:
     def close(self, *, graceful: bool = True) -> None:
         """Shut the service down and reap every worker process.
 
-        ``graceful`` lets in-flight groups finish (their replies are
-        discarded); otherwise workers are terminated immediately.
-        Unfinished submissions become partial results with
-        ``stats.interrupted`` set.  Idempotent.
+        ``graceful`` sends each worker ``stop`` and closes its pipe: an
+        idle worker exits at once, a busy one finishes its group, fails
+        to send the reply (which is discarded) and exits; a worker still
+        alive after 10 s is terminated.  Otherwise workers are
+        terminated immediately.  Unfinished submissions become partial
+        results with ``stats.interrupted`` set.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
+        self._stop_workers(graceful)
+
+    def _stop_workers(self, graceful: bool) -> None:
+        """Interrupt unfinished submissions and reap every worker.
+
+        The slots go too: a pool that survives (an interrupted one)
+        respawns cold workers lazily for its next submission.
+        """
         for group in self._pending:
             self._mark_interrupted(group.submission)
+        self._pending.clear()
         for slot in self._slots:
             if slot.current is not None:
                 self._mark_interrupted(slot.current.submission)
-        self._pending.clear()
-        for slot in self._slots:
-            process = slot.process
-            if process is None:
+            if slot.process is None:
                 continue
-            if graceful and process.is_alive():
-                try:
-                    slot.inbox.put(("stop", None, None))
-                except Exception:
-                    process.terminate()
+            if graceful:
+                self._send(slot, ("stop", None))
             else:
-                process.terminate()
+                slot.process.terminate()
+            slot.conn.close()
         for slot in self._slots:
             process = slot.process
             if process is None:
@@ -747,7 +753,6 @@ class SweepPool:
                 process.join()
         self._slots = []
         self._affinity.clear()
-        self._outbox = None
 
     def evict_caches(self) -> None:
         """Clear every worker's warm caches (memory back to baseline).
@@ -757,8 +762,8 @@ class SweepPool:
         stage computation again but no respawn.
         """
         for slot in self._slots:
-            if slot.process is not None and slot.process.is_alive():
-                slot.inbox.put(("evict", None, None))
+            if slot.process is not None:
+                self._send(slot, ("evict", None))
 
     # -- submission -----------------------------------------------------
     def submit(
@@ -949,31 +954,42 @@ class SweepPool:
             # Spawn unconditionally: the only start method that is safe
             # and available everywhere (fork inherits arbitrary state).
             self._ctx = multiprocessing.get_context("spawn")
-        if self._outbox is None:
-            self._outbox = self._ctx.Queue()
-        slot.inbox = self._ctx.Queue()
+        slot.conn, child = self._ctx.Pipe()
         slot.ready = False
         slot.current = None
-        slot.job_id = None
+        slot.payload = None
         slot.deadline = None
         slot.process = self._ctx.Process(
             target=_service_worker,
-            args=(
-                slot.index, slot.inbox, self._outbox,
-                self.max_cached_groups, self.max_cached_payloads,
-            ),
+            args=(child, self.max_cached_groups, self.max_cached_payloads),
             daemon=True,
         )
         slot.process.start()
+        # The worker now holds the only other end: its death reads as
+        # EOF here, and the parent's death reads as EOF there.
+        child.close()
 
     def _respawn_slot(self, slot: _WorkerSlot) -> None:
         """Replace a dead/wedged worker process in its slot (cold caches)."""
-        process = slot.process
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join()
+        slot.process.terminate()
+        slot.process.join()
+        slot.conn.close()
         self._spawn_process(slot)
+
+    def _send(self, slot: _WorkerSlot, message: Tuple[str, Any]) -> None:
+        try:
+            slot.conn.send(message)
+        except OSError:
+            pass  # a dead worker: its EOF is handled by the next collect
+
+    def _start_group(self, slot: _WorkerSlot) -> None:
+        """Send a ready worker its held group; the deadline clock starts."""
+        payload, slot.payload = slot.payload, None
+        timeout = slot.current.submission.group_timeout
+        slot.deadline = (
+            None if timeout is None else time.monotonic() + timeout
+        )
+        self._send(slot, ("run", payload))
 
     # -- scheduling -----------------------------------------------------
     def _worker_for(self, group: _PoolGroup) -> Optional[_WorkerSlot]:
@@ -1043,14 +1059,12 @@ class SweepPool:
                 slot = self._worker_for(group)
                 if slot is None:
                     continue
-                self._dispatch_group(group, slot, now)
+                self._dispatch_group(group, slot)
                 self._last_client = tag
                 return True
         return False
 
-    def _dispatch_group(
-        self, group: _PoolGroup, slot: _WorkerSlot, now: float
-    ) -> None:
+    def _dispatch_group(self, group: _PoolGroup, slot: _WorkerSlot) -> None:
         self._pending.remove(group)
         submission = group.submission
         if slot.process is None:
@@ -1061,15 +1075,11 @@ class SweepPool:
             )
             self._run_in_process(group, slot)
             return
-        payload = _encode_service_group(
+        slot.current = group
+        slot.payload = _encode_service_group(
             group.cells, submission.metrics, submission.lean,
             faults=submission.faults, attempt=group.attempt,
         )
-        job_id = self._next_job
-        self._next_job += 1
-        slot.inbox.put(("run", job_id, payload))
-        slot.current = group
-        slot.job_id = job_id
         self._notify(
             submission, "dispatch",
             gid=group.gid, cells=len(group.cells),
@@ -1077,13 +1087,10 @@ class SweepPool:
                 f", attempt {group.attempt}" if group.attempt else ""
             ),
         )
-        # Deadlines measure group runtime: the clock starts at
-        # dispatch only for booted workers, otherwise when the
-        # worker's ready message arrives.
-        timeout = submission.group_timeout
-        slot.deadline = (
-            now + timeout if timeout is not None and slot.ready else None
-        )
+        # A booting worker is not reading its pipe yet: a large payload
+        # would block this send, so it waits on the slot for ``ready``.
+        if slot.ready:
+            self._start_group(slot)
 
     def _run_in_process(self, group: _PoolGroup, slot: _WorkerSlot) -> None:
         """Run *group* in the calling thread; its outcome awaits collection.
@@ -1120,43 +1127,38 @@ class SweepPool:
             slot.current = slot.outcome = None
             self._complete(group, outcome, fire_interrupts)
             return True
-        if self._outbox is None:
+        slot_of = {slot.conn: slot for slot in self._slots}
+        if not slot_of:
             if block:
                 time.sleep(_POLL_INTERVAL)
             return False
         merged_any = False
-        timeout: Optional[float] = _POLL_INTERVAL if block else None
-        while True:
+        for conn in wait(list(slot_of), _POLL_INTERVAL if block else 0):
+            slot = slot_of[conn]
             try:
-                if timeout is not None:
-                    message = self._outbox.get(timeout=timeout)
-                else:
-                    message = self._outbox.get_nowait()
-            except _queue_mod.Empty:
-                return merged_any
-            timeout = None  # drain the rest without blocking
-            kind, index, body = message
-            slot = self._slots[index] if index < len(self._slots) else None
-            if slot is None:
+                kind, body = conn.recv()
+            except (EOFError, OSError):
+                # The worker died, and its pipe goes with it: only its
+                # own group (if any) is charged a retry.
+                group = slot.current
+                self._respawn_slot(slot)
+                if group is not None:
+                    self._requeue(
+                        group, time.monotonic(), WorkerCrashError,
+                        "a sweep worker process died mid-group",
+                    )
                 continue
             if kind == "ready":
                 slot.ready = True
-                if slot.current is not None and slot.deadline is None:
-                    group_timeout = slot.current.submission.group_timeout
-                    if group_timeout is not None:
-                        slot.deadline = time.monotonic() + group_timeout
+                if slot.payload is not None:
+                    self._start_group(slot)
                 continue
-            if kind != "reply":
-                continue
-            job_id, payload = body
-            if slot.job_id != job_id:
-                continue  # stale reply from before a respawn/requeue
             group = slot.current
             slot.current = None
-            slot.job_id = None
             slot.deadline = None
             merged_any = True
-            self._complete(group, _decode_reply(payload), fire_interrupts)
+            self._complete(group, _decode_reply(body), fire_interrupts)
+        return merged_any
 
     def _complete(
         self, group: _PoolGroup, outcome: _GroupOutcome,
@@ -1311,30 +1313,6 @@ class SweepPool:
             detail=f"{what} (attempt {group.attempt})",
         )
 
-    def _check_crashes(self, now: float) -> bool:
-        """Respawn dead workers in place; requeue their in-flight group.
-
-        Dedicated per-worker queues make crash attribution exact: only
-        the dead worker's group is charged a retry, and the other
-        workers keep running untouched (no pool-wide teardown).
-        """
-        recovered = False
-        for slot in self._slots:
-            if slot.process is None or slot.process.is_alive():
-                continue
-            group = slot.current
-            slot.current = None
-            slot.job_id = None
-            slot.deadline = None
-            self._respawn_slot(slot)
-            recovered = True
-            if group is not None:
-                self._requeue(
-                    group, now, WorkerCrashError,
-                    "a sweep worker process died mid-group",
-                )
-        return recovered
-
     def _check_timeouts(self, now: float) -> bool:
         """Terminate and retry groups that blew their deadline."""
         recovered = False
@@ -1346,7 +1324,6 @@ class SweepPool:
             group = slot.current
             timeout = group.submission.group_timeout
             slot.current = None
-            slot.job_id = None
             slot.deadline = None
             # Terminating the worker is the only portable way to stop a
             # wedged task; only its own slot respawns (cold), the rest
@@ -1387,7 +1364,6 @@ class SweepPool:
             self._dispatch_ready(now)
             if self._collect_ready(block=True, fire_interrupts=True):
                 return True
-            self._check_crashes(now)
             self._check_timeouts(now)
             return False
         except KeyboardInterrupt:
@@ -1406,22 +1382,7 @@ class SweepPool:
             self._collect_ready(block=False, fire_interrupts=False)
         except Exception:
             pass
-        for group in self._pending:
-            self._mark_interrupted(group.submission)
-        self._pending.clear()
-        for slot in self._slots:
-            if slot.current is not None:
-                self._mark_interrupted(slot.current.submission)
-            if slot.process is not None:
-                slot.process.terminate()
-        for slot in self._slots:
-            if slot.process is not None:
-                slot.process.join()
-        # The service survives an interrupt: slots are gone (cold), the
-        # next submission respawns lazily.
-        self._slots = []
-        self._affinity.clear()
-        self._outbox = None
+        self._stop_workers(graceful=False)
 
     def _mark_interrupted(self, submission: _Submission) -> None:
         if not submission.finished:

@@ -4,9 +4,16 @@ derivations, streaming rows, submission queueing/cancel, pool lifecycle
 isolation."""
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import FaultPlan, MemorySweepStore, ScenarioMatrix, run_sweep
 from repro.apps import fig1_scenario, fms_scenario
 from repro.errors import ModelError
@@ -40,6 +47,41 @@ def worker_pids(pool):
         for slot in pool._slots
         if slot.process is not None and slot.process.is_alive()
     }
+
+
+def pid_alive(pid):
+    """True while *pid* runs (a zombie awaiting its reaper has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        return True  # no procfs: the signal check is all there is
+
+
+#: Owner process for the orphan test: runs the Fig. 1 matrix on a
+#: resident pool, writes its worker pids to argv[1], then SIGKILLs itself
+#: so no teardown code runs.
+SIGKILLED_OWNER = """
+import os, signal, sys
+from repro import ScenarioMatrix
+from repro.apps import fig1_scenario
+from repro.experiment import SweepPool
+
+pool = SweepPool(workers=2)
+matrix = ScenarioMatrix(
+    fig1_scenario(n_frames=1), {"processors": [2, 3], "jitter_seed": [0, 1]}
+)
+pool.submit(matrix, ("executed_jobs", "makespan")).result()
+with open(sys.argv[1], "w") as out:
+    out.write(" ".join(str(slot.process.pid) for slot in pool._slots))
+os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +362,44 @@ class TestPoolLifecycle:
             # service stays up and the next submission reuses it.
             assert pool.started
             assert len(worker_pids(pool)) == 2
+            # A worker dying idle, between submissions, reads as EOF on
+            # its pipe too: it is respawned and the next sweep is whole.
+            victim = min(worker_pids(pool))
+            os.kill(victim, signal.SIGKILL)
             again = pool.submit(fig1_matrix(), METRICS).result()
             assert again.stats.pool_reused
             assert again.rows == fig1_serial.rows
+            assert again.stats.failed_cells == 0
+            assert victim not in worker_pids(pool)
+            assert len(worker_pids(pool)) == 2
         assert multiprocessing.active_children() == []
+
+    def test_sigkilled_owner_leaves_no_orphans(self, tmp_path):
+        # Workers hold the only other end of their pipes, so an owner
+        # killed without any teardown reads as EOF there: they exit.
+        pids_file = tmp_path / "pids"
+        log = tmp_path / "owner.log"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        with open(log, "w") as err:
+            owner = subprocess.run(
+                [sys.executable, "-c", SIGKILLED_OWNER, str(pids_file)],
+                env=env, stdout=subprocess.DEVNULL, stderr=err, timeout=120,
+            )
+        assert owner.returncode == -signal.SIGKILL, log.read_text()
+        pids = [int(pid) for pid in pids_file.read_text().split()]
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and any(map(pid_alive, pids)):
+                time.sleep(0.1)
+            assert [pid for pid in pids if pid_alive(pid)] == []
+        finally:
+            for pid in pids:
+                if pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_fault_in_sweep_a_does_not_taint_sweep_b(self, fig1_serial):
         # A FaultPlan kill during sweep A must leave sweep B's rows
