@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-faults test-pool soak-pool test-hetero bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
+.PHONY: test test-faults test-pool soak-pool test-hetero test-runtime bench bench-smoke bench-json bench-diff cov lint cli-smoke service-smoke
 
 # Tier-1 verification: the full unit/integration suite plus benchmarks-as-tests.
 test:
@@ -32,6 +32,18 @@ soak-pool:
 # of the tier-1 run.
 test-hetero:
 	$(PY) -m pytest tests/test_hetero_equivalence.py tests/test_io_json.py -q
+
+# Runtime lane: the executor's tick path against the Fraction oracles
+# (records, data-phase channel logs and traces), the observer event
+# contract live vs replay, and the columnar record table with its
+# MetricsObserver differential and beyond-2**63 tick runs.  Also part of
+# the tier-1 run.
+test-runtime:
+	$(PY) -m pytest tests/test_tick_equivalence.py \
+		tests/test_data_phase_equivalence.py \
+		tests/test_data_phase_properties.py \
+		tests/test_data_phase_events.py tests/test_observers.py \
+		tests/test_record_table.py -q
 
 # Error-level lint (ruff.toml: syntax errors / undefined names only).
 # Skips gracefully when ruff is not in the environment; CI installs it.

@@ -19,8 +19,10 @@ sporadic traces (used by the FMS case study and the property-based tests).
 from __future__ import annotations
 
 import random
-import weakref
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from bisect import bisect_right
+from typing import (
+    Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Union,
+)
 
 from ..errors import EventError
 from .events import SporadicGenerator
@@ -56,7 +58,7 @@ class Stimulus:
             for name, times in (sporadic_arrivals or {}).items()
         }
         self._samples_views: Dict[str, SampleMap] = {}
-        self._validated_networks: "weakref.WeakSet[Network]" = weakref.WeakSet()
+        self._validated: Set[Hashable] = set()
 
     def validate(self, network: Network) -> None:
         """Check the stimulus against a network definition.
@@ -66,13 +68,17 @@ class Stimulus:
         * every sporadic process of the network has a trace (possibly empty —
           missing entries are treated as empty, so this only normalises).
 
-        A successful validation is memoised per network (weakly), so sweeps
-        re-running one stimulus against one network many times pay the
-        arrival-constraint scan once; stimuli are treated as immutable after
-        first use (the executors already rely on that via
+        A successful validation is memoised by the facts it read — the
+        network's external-input names and, per stimulated process, its
+        generator kind, window and burst — so sweeps re-running one
+        stimulus against many equal networks (every fresh
+        :class:`~repro.experiment.Experiment` builds its own) pay the
+        arrival-constraint scan once.  Stimuli are treated as immutable
+        after first use (the executors already rely on that via
         :meth:`samples_view`).
         """
-        if network in self._validated_networks:
+        key = self._validation_key(network)
+        if key in self._validated:
             return
         for name in self.input_samples:
             if name not in network.external_inputs:
@@ -88,7 +94,21 @@ class Stimulus:
                     "are defined by the network, not the stimulus"
                 )
             gen.validate_trace(times)
-        self._validated_networks.add(network)
+        self._validated.add(key)
+
+    def _validation_key(self, network: Network) -> Hashable:
+        """Everything of *network* that :meth:`validate` reads."""
+        procs = []
+        for pname in self.sporadic_arrivals:
+            proc = network.processes.get(pname)
+            gen = proc.generator if proc is not None else None
+            procs.append((
+                pname,
+                type(gen),
+                getattr(gen, "period", None),
+                getattr(gen, "burst", None),
+            ))
+        return frozenset(network.external_inputs), tuple(procs)
 
     def truncated(self, horizon: TimeLike) -> "Stimulus":
         """A copy whose sporadic arrivals are restricted to ``t < horizon``.
@@ -215,8 +235,9 @@ def random_sporadic_trace(
     candidates.sort()
     trace: List[Time] = []
     for t in candidates:
-        in_window = sum(1 for kept in trace if kept > t - T)
-        if in_window < m:
+        # ``trace`` is sorted, so the kept arrivals in ``(t - T, t]`` are
+        # exactly its suffix past ``t - T``.
+        if len(trace) - bisect_right(trace, t - T) < m:
             trace.append(t)
     return generator.validate_trace(trace)
 

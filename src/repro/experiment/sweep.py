@@ -95,8 +95,8 @@ __all__ = [
     "run_sweep",
 ]
 
-#: Metrics computable from timing events alone (``on_record`` stream) —
-#: a sweep requesting only these skips the data phase entirely.
+#: Metrics computable from timing events alone (the record batches) — a
+#: sweep requesting only these skips the data phase entirely.
 TIMING_METRICS: Tuple[str, ...] = (
     "total_jobs",
     "executed_jobs",
@@ -432,8 +432,8 @@ def _run_cell(
     scenario = cell.scenario
     _check_cell_modes(cell, metrics, want_data)
     # Per-record aggregates the table does not ask for are switched
-    # off: on_record fires per job instance, and each aggregate is
-    # exact-rational arithmetic.  (Responses are not a sweep metric.)
+    # off: each costs work per job instance.  (Responses are not a sweep
+    # metric.)
     observer = MetricsObserver(
         track_responses=False,
         track_utilization="peak_utilization" in metrics,

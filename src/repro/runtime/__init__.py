@@ -3,6 +3,7 @@
 from .executor import (
     JobRecord,
     MultiprocessorExecutor,
+    RecordTable,
     RuntimeResult,
     jittered_execution,
     run_static_order,
@@ -40,6 +41,7 @@ from .static_order import (
 __all__ = [
     "JobRecord",
     "MultiprocessorExecutor",
+    "RecordTable",
     "RuntimeResult",
     "jittered_execution",
     "run_static_order",

@@ -24,10 +24,13 @@ The executor is split into a **timing core** and pluggable **consumers**:
    inputs — hyperperiod, arrivals, overheads, bound sporadic arrival
    times, process deadlines and the per-instance execution durations — are
    mapped once per run to exact integer ticks, so the ``max``/``+``
-   recurrence per job instance costs machine-integer operations.  The
-   resulting :class:`JobRecord` timestamps are converted back to exact
-   rationals (bit-identical to a pure-Fraction simulation) and **emitted
-   as events** to the observers of :mod:`repro.runtime.observers`.
+   recurrence per job instance costs machine-integer operations.  Each
+   resolved instance is one row of integer columns in a
+   :class:`RecordTable`, and each frame's rows are **emitted as one
+   batch** to the observers of :mod:`repro.runtime.observers`.
+   :class:`JobRecord` objects with exact rational timestamps
+   (bit-identical to a pure-Fraction simulation) are built only when
+   someone reads them.
 2. **Data phase** (:meth:`MultiprocessorExecutor._data_phase`) — the
    kernels of all *true* jobs run in ``(start, frame, <J index)`` order
    against fresh channel states.  Jobs sharing a channel can never overlap
@@ -38,17 +41,20 @@ The executor is split into a **timing core** and pluggable **consumers**:
 Two fast modes drop work a caller does not need: ``records_only=True``
 skips the data phase entirely (no ``JobContext``, no kernel dispatch —
 timing-only runs with identical :class:`JobRecord` streams), and
-``collect_records=False`` skips record retention — and record
-construction altogether when no observer listens, which is how the
-determinism matrix runs (it only compares data-phase observables).
+``collect_records=False`` leaves the table out of the result, which is
+how the determinism matrix runs (it only compares data-phase
+observables).  With both, nothing reads the table after the run, so it
+keeps one frame of rows at a time.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import not_
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import RuntimeModelError
@@ -63,14 +69,15 @@ from ..core.trusted import check_trusted_constructor
 from ..taskgraph.graph import TaskGraph
 from ..taskgraph.jobs import Job
 from ..scheduling.schedule import StaticSchedule
-from .observers import _DATA_HOOKS, _overrides, ExecutionObserver, RunMeta
+from .observers import (
+    _DATA_HOOKS, _overrides, _record_consumers, ExecutionObserver, RunMeta,
+)
 from .overheads import OverheadModel
 from .static_order import ArrivalBinding, FramePlan
 
-# Hot-loop aliases for the trusted ``__dict__``-installing constructions
-# (records in the timing phase, job markers in the data phase); the literal
-# field shapes are cross-checked at import time here and in
-# :mod:`repro.core.process`.
+# Aliases for the trusted ``__dict__``-installing record construction
+# (:meth:`JobRecord._from_fields`); its field list is cross-checked at
+# import time below.
 _obj_new = object.__new__
 _obj_setattr = object.__setattr__
 
@@ -213,6 +220,135 @@ check_trusted_constructor(
 )
 
 
+class RecordTable(SequenceABC):
+    """One run's job records as integer-tick columns; a lazy record sequence.
+
+    The timing phase appends one row per resolved job instance, frame by
+    frame in timing-resolution order.  Per-row columns: ``job`` (index
+    into the task graph's job list), ``frame``, ``global_k``,
+    ``processor``, the ``release``/``start``/``end``/``deadline`` ticks and
+    the ``is_false`` flag.  Per-job static columns, indexed by ``job``:
+    ``process``, ``k``, ``is_server`` and ``class_name``.  ``domain`` maps
+    ticks back to exact rationals.
+
+    Columns are plain lists: ticks are unbounded Python ints (a run with
+    large coprime period denominators exceeds ``2**63``), so no fixed-width
+    storage can overflow or wrap.
+
+    As a sequence the table reads as the :class:`JobRecord` list the run
+    resolved: ``len``, indexing, slicing, iteration and ``==`` against a
+    plain list work, and records with Fraction fields are built only when
+    accessed.  A whole-table read (iteration, equality) materialises every
+    record once and keeps them.
+    """
+
+    #: Rows materialised per step of a whole-table read.
+    _CHUNK = 2048
+
+    def __init__(
+        self,
+        domain: TickDomain,
+        process: Sequence[str],
+        k: Sequence[int],
+        is_server: Sequence[bool],
+        class_name: Sequence[str],
+    ) -> None:
+        self.domain = domain
+        self.process = process
+        self.k = k
+        self.is_server = is_server
+        self.class_name = class_name
+        self.job: List[int] = []
+        self.frame: List[int] = []
+        self.global_k: List[int] = []
+        self.processor: List[int] = []
+        self.release: List[int] = []
+        self.start: List[int] = []
+        self.end: List[int] = []
+        self.deadline: List[int] = []
+        self.is_false: List[bool] = []
+        self._records: Optional[List[JobRecord]] = None
+
+    def clear(self) -> None:
+        """Drop every row (a streaming run keeps one frame at a time)."""
+        for col in (self.job, self.frame, self.global_k, self.processor,
+                    self.release, self.start, self.end, self.deadline,
+                    self.is_false):
+            col.clear()
+        self._records = None
+
+    def _build(self, lo: int, hi: int) -> List[JobRecord]:
+        """Materialise the records of rows ``[lo, hi)``."""
+        times = [col[lo:hi] for col in (self.release, self.start, self.end,
+                                        self.deadline)]
+        # Instants repeat across a frame (shared releases and deadlines,
+        # one job's end is the next one's start): convert each once.
+        from_ticks = self.domain.from_ticks
+        fraction = {t: from_ticks(t) for t in set().union(*times)}.__getitem__
+        jobs = self.job[lo:hi]
+        # Like run(), suspend the cyclic GC while allocating records that
+        # all stay alive: its passes would only re-scan them.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(
+                JobRecord._from_fields,
+                map(self.process.__getitem__, jobs),
+                self.frame[lo:hi],
+                map(self.k.__getitem__, jobs),
+                self.global_k[lo:hi],
+                self.processor[lo:hi],
+                *(map(fraction, col) for col in times),
+                self.is_false[lo:hi],
+                map(self.is_server.__getitem__, jobs),
+                map(self.class_name.__getitem__, jobs),
+            ))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _all(self) -> List[JobRecord]:
+        recs = self._records
+        n = len(self.job)
+        if recs is None or len(recs) != n:
+            # In chunks: a chunk's columns and conversions stay in cache.
+            recs = []
+            for lo in range(0, n, self._CHUNK):
+                recs += self._build(lo, min(lo + self._CHUNK, n))
+            self._records = recs
+        return recs
+
+    def __len__(self) -> int:
+        return len(self.job)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if self._records is not None and len(self._records) == len(self.job):
+            return self._records[index]
+        rows = range(len(self.job))[index]  # normalised; raises IndexError
+        if isinstance(rows, int):
+            return self._build(rows, rows + 1)[0]
+        if rows.step == 1:
+            return self._build(rows.start, rows.stop)
+        return [self._build(r, r + 1)[0] for r in rows]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, RecordTable):
+            return self._all() == other._all()
+        if isinstance(other, list):
+            return self._all() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return f"RecordTable({len(self)} records, scale={self.domain.scale})"
+
+
 @dataclass
 class RuntimeResult:
     """Everything observable from one simulated run."""
@@ -221,7 +357,9 @@ class RuntimeResult:
     frames: int
     hyperperiod: Time
     processors: int
-    records: List[JobRecord]
+    #: The run's :class:`RecordTable` (a lazy ``JobRecord`` sequence); any
+    #: list of records is accepted too.
+    records: Sequence[JobRecord]
     channel_logs: Dict[str, List[Any]]
     external_outputs: Dict[str, List[Tuple[int, Any]]]
     trace: Trace
@@ -307,14 +445,21 @@ class RuntimeResult:
         return max(candidates, default=Time(0))
 
 
-#: One true job instance handed from the timing phase to the data phase:
+#: One true job instance in the data phase's execution order:
 #: ``(start_tick, frame, job_index, global_k, release_tick, end_tick)``.
 #: Sorting these tuples orders instances by ``(start, frame, <J index)`` —
 #: the execution order of the policy — because ``(frame, job_index)`` is
-#: unique; the trailing fields never influence the order.  ``end_tick``
-#: rides along so data-phase observers get the kernel span without the
-#: data phase re-deriving it.
+#: unique; the trailing fields never influence the order.
 _Instance = Tuple[int, int, int, int, int, int]
+
+
+def _execution_order(table: RecordTable) -> List[_Instance]:
+    """The true instances of *table*, sorted into policy execution order."""
+    return sorted(compress(
+        zip(table.start, table.frame, table.job, table.global_k,
+            table.release, table.end),
+        map(not_, table.is_false),
+    ))
 
 
 @dataclass
@@ -382,10 +527,9 @@ class MultiprocessorExecutor:
             carries identical :class:`JobRecord` timing but empty
             observables.  For timing-only consumers (sweeps, waveforms).
         collect_records:
-            When ``False``, ``result.records`` stays empty: records are
-            not retained, and are not even built unless observers are
-            listening (``on_record`` always fires when they are).  The
-            data phase still runs.  For observable-only consumers like
+            When ``False``, ``result.records`` stays empty: the record
+            table is not retained (observers still receive every batch).
+            The data phase still runs.  For observable-only consumers like
             the determinism matrix, and for streaming observers over
             long runs that must not accumulate per-instance data.
         collect_trace:
@@ -424,8 +568,8 @@ class MultiprocessorExecutor:
         if gc_was_enabled:
             gc.disable()
         try:
-            records, instances, overhead_intervals, frac_memo = self._timing_phase(
-                setup, observers, collect_records, collect_instances=not records_only
+            table, overhead_intervals = self._timing_phase(
+                setup, observers, stream=records_only and not collect_records
             )
 
             if records_only:
@@ -434,7 +578,7 @@ class MultiprocessorExecutor:
                 trace = Trace()
             else:
                 channel_logs, external_outputs, trace = self._data_phase(
-                    sorted(instances), stimulus, setup.dom, frac_memo,
+                    _execution_order(table), stimulus, setup.dom,
                     observers, collect_trace,
                 )
         finally:
@@ -446,7 +590,7 @@ class MultiprocessorExecutor:
             frames=n_frames,
             hyperperiod=self.hyperperiod,
             processors=self.plan.processors,
-            records=records,
+            records=table if collect_records else [],
             channel_logs=channel_logs,
             external_outputs=external_outputs,
             trace=trace,
@@ -548,21 +692,16 @@ class MultiprocessorExecutor:
         self,
         rs: _RunSetup,
         observers: Sequence[ExecutionObserver],
-        collect_records: bool,
-        collect_instances: bool = True,
-    ) -> Tuple[
-        List[JobRecord],
-        List[_Instance],
-        List[Tuple[int, Time, Time]],
-        Dict[int, Time],
-    ]:
+        stream: bool = False,
+    ) -> Tuple[RecordTable, List[Tuple[int, Time, Time]]]:
         """The per-frame timing recurrence, in pure integer ticks.
 
-        Emits overhead windows and (when *collect_records*) one
-        :class:`JobRecord` per instance to *observers* as they resolve.
-        Returns the record list, the true-instance hand-off for the data
-        phase, the overhead intervals and the tick→Fraction memo (shared
-        with the data phase so release conversions are not repeated).
+        Appends one row per resolved instance to a :class:`RecordTable` and
+        emits, per frame, the overhead window and then ``on_records`` for
+        the frame's rows to *observers*.  With *stream* (nothing reads the
+        table after the run) each frame's rows are dropped once emitted, so
+        a long timing-only run holds one frame at a time.  Returns the
+        table and the overhead intervals.
         """
         jobs = self.graph.jobs
         n = len(jobs)
@@ -575,43 +714,36 @@ class MultiprocessorExecutor:
         H_t = rs.H_t
         from_ticks = rs.dom.from_ticks
 
-        records: List[JobRecord] = []
-        instances: List[_Instance] = []
+        class_of_proc = self.plan.platform.class_per_processor()
+        is_server_of = [j.is_server for j in jobs]
+        k_of = [j.k for j in jobs]
+        table = RecordTable(
+            rs.dom,
+            process=[j.process for j in jobs],
+            k=k_of,
+            is_server=is_server_of,
+            class_name=[class_of_proc[p].name for p in proc_of],
+        )
         overhead_intervals: List[Tuple[int, Time, Time]] = []
         chain_end: List[int] = [0] * self.plan.processors
 
-        # Tick->Fraction conversions repeat heavily (shared arrivals and
-        # deadlines within a frame, end==next-start chains on busy
-        # processors), so memoise them for the duration of the run.
-        frac_memo: Dict[int, Time] = {}
-        is_server_of = [j.is_server for j in jobs]
-        k_of = [j.k for j in jobs]
-        process_of = [j.process for j in jobs]
-        class_name_of = [
-            cls.name for cls in self.plan.platform.class_per_processor()
-        ]
-        rec_append = records.append if collect_records else None
-        # The instance hand-off only feeds the data phase; skip it when the
-        # caller will not run one (records_only), keeping long timing-only
-        # sweeps O(1) in per-instance memory beyond the records they asked for.
-        inst_append = instances.append if collect_instances else None
-        new = _obj_new
-        set_dict = _obj_setattr
-        record_cls = JobRecord
-        memo_get = frac_memo.get
+        # Columns that repeat every frame are extended once per frame;
+        # the per-instance values are appended in the loop.
+        procs_in_topo = [proc_of[i] for i in topo]
+        extend_job = table.job.extend
+        extend_frame = table.frame.extend
+        extend_proc = table.processor.extend
+        add_gk = table.global_k.append
+        add_release = table.release.append
+        add_start = table.start.append
+        add_end = table.end.append
+        add_deadline = table.deadline.append
+        add_false = table.is_false.append
         notify_overhead = [ob.on_overhead for ob in observers]
-        # Only observers that actually override on_record (in a subclass or
-        # as an instance attribute) count as record consumers — the no-op
-        # inherited hook must not force record construction in the
-        # collect_records=False fast path.
-        notify_record = [
-            ob.on_record for ob in observers
-            if _overrides(ob, "on_record", ExecutionObserver.on_record)
-        ]
-        # Records are *built* whenever someone consumes them (the result
-        # list or an observer) but *retained* only when collect_records —
-        # so observers can stream a long run without the result growing.
-        build_records = collect_records or bool(notify_record)
+        # One batch per frame to each record consumer.  An observer that
+        # only overrides on_record goes through the default on_records,
+        # which materialises the batch.
+        notify_records = [ob.on_records for ob in _record_consumers(observers)]
 
         for frame in range(rs.n_frames):
             base = H_t * frame
@@ -625,6 +757,10 @@ class MultiprocessorExecutor:
             end_row = [0] * n
             brow = rs.bound_t_rows[frame]
             durs = rs.dur_t_const if rs.dur_t_rows is None else rs.dur_t_rows[frame]
+            lo = len(table.job)
+            extend_job(topo)
+            extend_frame(repeat(frame, n))
+            extend_proc(procs_in_topo)
             for i in topo:
                 proc = proc_of[i]
                 is_false = False
@@ -656,54 +792,18 @@ class MultiprocessorExecutor:
                 chain_end[proc] = end
                 end_row[i] = end
 
-                if inst_append is not None and not is_false:
-                    inst_append((start, frame, i, global_k, release_t, end))
-                if not build_records:
-                    continue
-
-                release_f = memo_get(release_t)
-                if release_f is None:
-                    release_f = frac_memo[release_t] = from_ticks(release_t)
-                start_f = memo_get(start)
-                if start_f is None:
-                    start_f = frac_memo[start] = from_ticks(start)
-                if end == start:
-                    end_f = start_f
-                else:
-                    end_f = memo_get(end)
-                    if end_f is None:
-                        end_f = frac_memo[end] = from_ticks(end)
-                deadline_t = release_t + pdl_t[i]
-                deadline_f = memo_get(deadline_t)
-                if deadline_f is None:
-                    deadline_f = frac_memo[deadline_t] = from_ticks(deadline_t)
-
-                # Inline trusted construction: the per-record call into
-                # _from_fields is itself measurable at 100-frame scale.
-                # The field *tuple* is guarded at import below; the literal
-                # keys here are pinned by the record-field drift test in
-                # tests/test_observers.py (TestJobRecordConstructor).
-                rec = new(record_cls)
-                set_dict(rec, "__dict__", {
-                    "process": process_of[i],
-                    "frame": frame,
-                    "k_frame": k_of[i],
-                    "global_k": global_k,
-                    "processor": proc,
-                    "release": release_f,
-                    "start": start_f,
-                    "end": end_f,
-                    "deadline": deadline_f,
-                    "is_false": is_false,
-                    "is_server": is_server_of[i],
-                    "processor_class": class_name_of[proc],
-                })
-                if rec_append is not None:
-                    rec_append(rec)
-                if notify_record:
-                    for emit in notify_record:
-                        emit(rec)
-        return records, instances, overhead_intervals, frac_memo
+                add_gk(global_k)
+                add_release(release_t)
+                add_start(start)
+                add_end(end)
+                add_deadline(release_t + pdl_t[i])
+                add_false(is_false)
+            hi = len(table.job)
+            for emit in notify_records:
+                emit(table, lo, hi)
+            if stream:
+                table.clear()
+        return table, overhead_intervals
 
     # ------------------------------------------------------------------
     def _frame_topological_order(self) -> List[int]:
@@ -833,7 +933,6 @@ class MultiprocessorExecutor:
         order: List[_Instance],
         stimulus: Stimulus,
         dom: TickDomain,
-        frac_memo: Dict[int, Time],
         observers: Sequence[ExecutionObserver] = (),
         collect_trace: bool = True,
     ) -> Tuple[Dict[str, List[Any]], Dict[str, List[Tuple[int, Any]]], Trace]:
@@ -855,8 +954,8 @@ class MultiprocessorExecutor:
           *collect_trace*;
         * data-phase observer events (kernel spans, channel writes) are
           emitted only for observers that override the hooks — with none
-          attached the loop does no Fraction conversions beyond the
-          releases.
+          attached the loop converts no tick to a Fraction beyond the
+          releases (each distinct tick once per run).
         """
         network = self.network
         channel_states: Dict[str, ChannelState] = {
@@ -877,6 +976,9 @@ class MultiprocessorExecutor:
         trace = LazyTrace() if collect_trace else None
         trace_append = trace.raw.append if trace is not None else None
         from_ticks = dom.from_ticks
+        # Releases repeat across a frame's instances and span ends chain
+        # into the next start on busy processors: convert each tick once.
+        frac_memo: Dict[int, Time] = {}
         memo_get = frac_memo.get
         process_of = [j.process for j in self.graph.jobs]
 

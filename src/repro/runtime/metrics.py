@@ -21,17 +21,15 @@ from .observers import ExecutionObserver, MetricsObserver, replay
 
 
 class _TimingMetricsObserver(MetricsObserver):
-    """MetricsObserver with the data hooks restored to the base no-ops.
+    """MetricsObserver with its data hook restored to the base no-op.
 
     The record-derived metrics below need only the timing event stream;
-    presenting un-overridden data hooks lets :func:`replay` skip the trace
+    presenting no data hook lets :func:`replay` skip the trace
     materialisation and per-action walk entirely (and keeps these helpers
     working on results whose trace was suppressed).
     """
 
     on_job_data_start = ExecutionObserver.on_job_data_start
-    on_job_data_end = ExecutionObserver.on_job_data_end
-    on_channel_write = ExecutionObserver.on_channel_write
 
 
 @dataclass(frozen=True)

@@ -3,23 +3,31 @@
 The :class:`~repro.runtime.executor.MultiprocessorExecutor` separates the
 paper's deterministic timing core from its growing set of output consumers:
 the timing phase (pure integer-tick recurrence) *emits events* — run
-milestones, frame-arrival overhead windows, one :class:`~repro.runtime.
-executor.JobRecord` per resolved job instance — and observers passed to
-``run(observers=...)`` consume them as they happen.  VCD export
-(:mod:`repro.io.vcd`), Gantt rendering (:mod:`repro.runtime.gantt`),
-metrics (:mod:`repro.runtime.metrics`) and determinism sweeps
+milestones, frame-arrival overhead windows, one batch of resolved job
+instances per frame — and observers passed to ``run(observers=...)``
+consume them as they happen.  VCD export (:mod:`repro.io.vcd`), Gantt
+rendering (:mod:`repro.runtime.gantt`), metrics
+(:mod:`repro.runtime.metrics`) and determinism sweeps
 (:mod:`repro.analysis.determinism`) are all such consumers; new backends
 plug in by subclassing :class:`ExecutionObserver` without touching the
 executor core.
 
-Event order and domain:
+Event order:
 
-* ``on_run_start`` once, then per live frame the frame's overhead window
-  (if any) followed by that frame's records in timing-resolution order
-  (schedule-topological within the frame), then ``on_run_end`` once.
-  :func:`replay` re-emits a finished run in the same shape except that all
-  overhead windows precede all records — observers must not rely on the
-  interleaving, only on the per-stream order.
+* ``on_run_start`` once, then per frame the frame's overhead window (if
+  any) followed by one ``on_records(table, lo, hi)`` call for the frame's
+  rows, then ``on_run_end`` once.  :func:`replay` re-emits a stored run in
+  exactly this shape.
+* **Records.**  A frame's rows ``[lo, hi)`` of the run's
+  :class:`~repro.runtime.executor.RecordTable` hold its instances in
+  timing-resolution order (schedule-topological within the frame).  The
+  default ``on_records`` builds each row's :class:`~repro.runtime.
+  executor.JobRecord` and calls ``on_record`` with it, so an observer
+  overriding only ``on_record`` sees one record per instance, in that
+  order.  When an observer overrides both hooks, ``on_records`` wins:
+  ``on_record`` runs only if the override delegates to the default.
+  Observers overriding neither get no record events, and no record is
+  built for them.
 * **Data-phase events** follow all timing events: per executed job
   instance, in the deterministic ``(start, frame, <J index)`` execution
   order of the data phase, ``on_job_data_start`` then one
@@ -28,37 +36,38 @@ Event order and domain:
   samples emit no data events.  :func:`replay` reconstructs the identical
   stream from the stored trace, so live and post-hoc consumers see the
   same sequence.
-* Every time stamp an observer sees is an **exact rational**
-  (:class:`fractions.Fraction`): events are emitted at the tick→Fraction
-  conversion boundary of the executor, so observers never handle raw ticks
-  and never see rounded values.  Kernel spans carry the instance's resolved
-  ``[start, end)`` interval; channel writes carry the writing job's start
-  instant (kernels execute atomically at their start, Section IV).
+
+Time domain: every time stamp passed as an event argument is an **exact
+rational** (:class:`fractions.Fraction`), never a rounded value.  The one
+exception is the batch hook: its table holds **integer ticks**, and
+``table.domain`` maps them exactly to rationals — consumers that
+aggregate (like :class:`MetricsObserver`) compute on the ticks and
+convert their results once.  Kernel spans carry the instance's resolved
+``[start, end)`` interval; channel writes carry the writing job's start
+instant (kernels execute atomically at their start, Section IV).
 
 ``run(records_only=True)`` skips the data phase (no ``JobContext``, no
 kernel dispatch, empty channel observables, no data events) for
 timing-only consumers.  ``run(collect_records=False)`` keeps
-``result.records`` empty: observers still receive every ``on_record``
-event, so streaming consumers (metrics over a very long run) aggregate
-without the result accumulating per-instance data, and with no observers
-attached records are never even built — the determinism matrix's
-observable-only fast path.  ``run(collect_trace=False)`` suppresses the
-:class:`~repro.core.trace.Trace` action log (``result.trace`` stays
-empty); live data-phase events still fire, but such a result cannot
-re-emit them through :func:`replay`.
+``result.records`` empty: observers still receive every batch, so
+streaming consumers (metrics over a very long run) aggregate without the
+result accumulating per-instance data.  ``run(collect_trace=False)``
+suppresses the :class:`~repro.core.trace.Trace` action log
+(``result.trace`` stays empty); live data-phase events still fire, but
+such a result cannot re-emit them through :func:`replay`.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.timebase import Time, ZERO
+from ..core.ticks import TickDomain
+from ..core.timebase import Time
 from ..core.trace import ChannelWrite, JobEnd, JobStart
 from ..errors import RuntimeModelError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .executor import JobRecord, RuntimeResult
+    from .executor import JobRecord, RecordTable, RuntimeResult
     from .metrics import KernelSpanStats, MissSummary
 
 __all__ = [
@@ -93,6 +102,24 @@ class ExecutionObserver:
     def on_record(self, record: "JobRecord") -> None:
         """One resolved job instance (including false server jobs)."""
 
+    def on_records(self, table: "RecordTable", lo: int, hi: int) -> None:
+        """One frame's resolved instances: rows ``[lo, hi)`` of *table*.
+
+        The executor, and :func:`replay` of an executor result, deliver
+        records only through this hook.  The default materialises the rows
+        as :class:`~repro.runtime.executor.JobRecord` objects and calls
+        :meth:`on_record` for each, so observers written against
+        ``on_record`` need nothing else.  An
+        observer overriding ``on_records`` reads the integer-tick columns
+        directly (``table.domain`` converts them back to exact rationals);
+        its ``on_record`` then runs only if the override delegates to this
+        default.  Rows are only guaranteed to exist during the call — a
+        streaming run drops them afterwards.
+        """
+        on_record = self.on_record
+        for record in table[lo:hi]:
+            on_record(record)
+
     def on_job_data_start(
         self, process: str, k: int, frame: int, start: Time
     ) -> None:
@@ -112,9 +139,10 @@ class ExecutionObserver:
         """The assembled result, after timing (and data, unless skipped)."""
 
 
-#: The inherited no-op data-phase hooks, used (like ``on_record`` in the
-#: executor) to detect which observers actually consume data events — the
-#: base-class no-ops must not force event construction on the fast path.
+#: The inherited no-op data-phase hooks, used (like the record hooks in
+#: :func:`_record_consumers`) to detect which observers actually consume
+#: data events — the base-class no-ops must not force event construction
+#: on the fast path.
 _DATA_HOOKS = (
     ("on_job_data_start", ExecutionObserver.on_job_data_start),
     ("on_job_data_end", ExecutionObserver.on_job_data_end),
@@ -127,6 +155,21 @@ def _overrides(observer: ExecutionObserver, name: str, base) -> bool:
     return getattr(getattr(observer, name), "__func__", None) is not base
 
 
+def _record_consumers(
+    observers: Sequence[ExecutionObserver],
+) -> List[ExecutionObserver]:
+    """The observers that consume records (override either record hook).
+
+    The rest never get ``on_records``, so the inherited default never
+    materialises records nobody reads.
+    """
+    return [
+        ob for ob in observers
+        if _overrides(ob, "on_records", ExecutionObserver.on_records)
+        or _overrides(ob, "on_record", ExecutionObserver.on_record)
+    ]
+
+
 def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     """Re-emit a finished run's events through *observers*.
 
@@ -135,6 +178,12 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     with ``collect_records=False`` cannot be replayed — their empty record
     list would misreport every count as zero — so they are rejected here;
     attach the observers during the run instead.
+
+    A result holding the executor's :class:`~repro.runtime.executor.
+    RecordTable` replays exactly the live stream: per frame, its overhead
+    window then ``on_records`` for the frame's rows.  A result holding a
+    plain record list (built outside the executor) replays all overhead
+    windows, then ``on_record`` per record.
 
     Data-phase events (``on_job_data_start/end``, ``on_channel_write``) are
     reconstructed from the stored :class:`~repro.core.trace.Trace` — its
@@ -149,6 +198,8 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     :meth:`MetricsObserver.kernel_span_stats`); attach data consumers to
     ``run()`` to aggregate such runs live.
     """
+    from .executor import RecordTable
+
     if not result.records_collected:
         raise RuntimeModelError(
             "cannot replay a result produced with collect_records=False — "
@@ -166,15 +217,29 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
     )
     for ob in observers:
         ob.on_run_start(meta)
-    for frame, start, end in result.overhead_intervals:
-        for ob in observers:
-            ob.on_overhead(frame, start, end)
-    for rec in result.records:
-        for ob in observers:
-            ob.on_record(rec)
+    records = result.records
+    if isinstance(records, RecordTable):
+        consumers = _record_consumers(observers)
+        per_frame = len(records) // result.frames
+        overheads = {frame: (s, e) for frame, s, e in result.overhead_intervals}
+        for frame in range(result.frames):
+            window = overheads.get(frame)
+            if window is not None:
+                for ob in observers:
+                    ob.on_overhead(frame, *window)
+            lo = frame * per_frame
+            for ob in consumers:
+                ob.on_records(records, lo, lo + per_frame)
+    else:
+        for frame, start, end in result.overhead_intervals:
+            for ob in observers:
+                ob.on_overhead(frame, start, end)
+        for rec in records:
+            for ob in observers:
+                ob.on_record(rec)
     if data_observers and result.data_collected:
         record_of = {
-            (r.process, r.global_k): r for r in result.records if not r.is_false
+            (r.process, r.global_k): r for r in records if not r.is_false
         }
         rec = None
         for act in result.trace:
@@ -196,8 +261,8 @@ def replay(result: "RuntimeResult", *observers: ExecutionObserver) -> None:
 class RecordsObserver(ExecutionObserver):
     """Accumulates the raw event streams (records, overheads, meta).
 
-    The executor assembles its :class:`RuntimeResult` from exactly these
-    streams; external users get the same accumulation for live runs.
+    ``records`` collects every record as a plain list, also from runs
+    whose result keeps none (``collect_records=False``).
     """
 
     def __init__(self) -> None:
@@ -218,19 +283,32 @@ class RecordsObserver(ExecutionObserver):
         self.records.append(record)
 
 
+#: ``MetricsObserver._dom`` before the run's first record: the domain is
+#: not chosen yet.
+_UNSET: Any = object()
+
+
 class MetricsObserver(ExecutionObserver):
     """Streaming aggregation of the Section V metrics.
 
     Computes miss statistics, worst response times, per-processor busy time,
-    makespan and per-frame makespans from the event stream alone — no stored
-    record list — so long determinism/overload sweeps can aggregate without
-    retaining per-instance data.
+    makespan, per-frame makespans and kernel-span statistics from the event
+    stream alone — no stored record list — so long determinism/overload
+    sweeps can aggregate without retaining per-instance data.
 
-    Every aggregate costs exact-rational arithmetic *per record*, so the
-    optional ones can be switched off at construction: scenario sweeps
-    request only the metrics their table needs, and ``on_record`` fires
-    hundreds of times per frame.  Disabled aggregates refuse to report
-    (their accessors raise) instead of returning silent zeros.
+    The executor's ``on_records`` batches are aggregated on the run's
+    integer ticks and converted to exact rationals once per accessor, so
+    no per-record Fraction is built.  A stream of ``on_record`` events
+    (replaying a plain record list) aggregates the records' Fractions with
+    the same code; either way the values are exact and identical.  Kernel
+    spans are the ``[start, end)`` intervals of the executed records,
+    reported once the data phase's ``on_job_data_start`` events show it
+    ran; channel-write counts are read from the run's channel logs.
+
+    The optional per-record aggregates can be switched off at construction:
+    scenario sweeps request only the metrics their table needs.  Disabled
+    aggregates refuse to report (their accessors raise) instead of
+    returning silent zeros.
     """
 
     def __init__(
@@ -244,20 +322,26 @@ class MetricsObserver(ExecutionObserver):
         self._track_utilization = track_utilization
         self._track_frame_spans = track_frame_spans
         self.meta: Optional[RunMeta] = None
+        self._reset(0, 0)
+
+    def _reset(self, processors: int, frames: int) -> None:
         self.total_jobs = 0
         self.executed_jobs = 0
         self.false_jobs = 0
         self.missed_jobs = 0
-        self.worst_lateness: Time = ZERO
-        self.makespan: Time = ZERO
-        self._busy: List[Time] = []
-        self._frame_spans: List[Time] = []
-        self._frame_bases: List[Time] = []
-        self._responses: Dict[str, Time] = {}
-        self._span_open: Dict[Tuple[str, int], Time] = {}
+        # Aggregates in the run's record domain: integer ticks of ``_dom``
+        # (a TickDomain), or Fractions when ``_dom`` is None.
+        self._dom: Any = _UNSET
+        self._worst_lateness: Any = 0
+        self._makespan: Any = 0
+        self._busy: List[Any] = [0] * processors
+        self._frame_spans: List[Any] = [0] * frames
+        self._frame_bases: List[Any] = []
+        self._responses: Dict[str, Any] = {}
         self._span_count: Dict[str, int] = {}
-        self._span_total: Dict[str, Time] = {}
-        self._span_max: Dict[str, Time] = {}
+        self._span_total: Dict[str, Any] = {}
+        self._span_max: Dict[str, Any] = {}
+        self._data_seen = False
         self._channel_writes: Dict[str, int] = {}
         self._data_events_unavailable = False
 
@@ -265,91 +349,124 @@ class MetricsObserver(ExecutionObserver):
         # Full reset: one observer instance can be reused across runs
         # without mixing their statistics.
         self.meta = meta
-        self.total_jobs = 0
-        self.executed_jobs = 0
-        self.false_jobs = 0
-        self.missed_jobs = 0
-        self.worst_lateness = ZERO
-        self.makespan = ZERO
-        self._busy = [ZERO] * meta.processors
-        self._frame_spans = [ZERO] * meta.frames
-        # Frame start instants, precomputed once: on_record fires per job
-        # instance, and the ``hyperperiod * frame`` product is a Fraction
-        # multiplication the hot path should not repeat 800 times a frame.
-        self._frame_bases = (
-            [meta.hyperperiod * f for f in range(meta.frames)]
-            if self._track_frame_spans else []
-        )
-        self._responses = {}
-        self._span_open = {}
-        self._span_count = {}
-        self._span_total = {}
-        self._span_max = {}
-        self._channel_writes = {}
-        self._data_events_unavailable = False
+        self._reset(meta.processors, meta.frames)
+
+    def _use_domain(self, dom: Optional[TickDomain]) -> None:
+        """Fix the run's record domain (None: Fractions) at its first record."""
+        self._dom = dom
+        if self._track_frame_spans:
+            h = self.meta.hyperperiod
+            step = h if dom is None else dom.to_ticks(h)
+            self._frame_bases = [step * f for f in range(self.meta.frames)]
+
+    def _time(self, raw: Any) -> Time:
+        """An aggregate as an exact rational."""
+        dom = self._dom
+        return dom.from_ticks(raw) if isinstance(dom, TickDomain) else Time(raw)
+
+    def on_records(self, table: "RecordTable", lo: int, hi: int) -> None:
+        if self._dom is _UNSET:
+            self._use_domain(table.domain)
+        if self._dom != table.domain:  # a Fraction stream began this run
+            super().on_records(table, lo, hi)
+            return
+        self._fold(zip(
+            map(table.process.__getitem__, table.job[lo:hi]),
+            table.frame[lo:hi], table.processor[lo:hi],
+            table.is_false[lo:hi], table.release[lo:hi],
+            table.start[lo:hi], table.end[lo:hi], table.deadline[lo:hi],
+        ))
 
     def on_record(self, record: "JobRecord") -> None:
-        self.total_jobs += 1
-        end = record.end
-        # All records count toward the makespan (false jobs carry their
-        # zero-length visibility instant), matching RuntimeResult.makespan().
-        if end > self.makespan:
-            self.makespan = end
-        if record.is_false:
-            self.false_jobs += 1
-            return
-        self.executed_jobs += 1
-        if end > record.deadline:
-            self.missed_jobs += 1
-            lateness = end - record.deadline
-            if lateness > self.worst_lateness:
-                self.worst_lateness = lateness
-        if self._track_utilization:
-            self._busy[record.processor] += end - record.start
-        if self._track_responses:
-            response = end - record.release
-            if response > self._responses.get(record.process, ZERO):
-                self._responses[record.process] = response
-        if self._track_frame_spans:
-            frame = record.frame
-            span = end - self._frame_bases[frame]
-            if span > self._frame_spans[frame]:
-                self._frame_spans[frame] = span
+        if self._dom is _UNSET:
+            self._use_domain(None)
+        dom = self._dom
+        conv = Time if dom is None else dom.to_ticks
+        self._fold(((
+            record.process, record.frame, record.processor, record.is_false,
+            conv(record.release), conv(record.start), conv(record.end),
+            conv(record.deadline),
+        ),))
+
+    def _fold(self, rows) -> None:
+        """Aggregate ``(process, frame, processor, is_false, release, start,
+        end, deadline)`` rows, times all ticks or all Fractions."""
+        makespan = self._makespan
+        worst = self._worst_lateness
+        total = false_jobs = missed = 0
+        busy = self._busy if self._track_utilization else None
+        responses = self._responses if self._track_responses else None
+        frame_spans = self._frame_spans if self._track_frame_spans else None
+        bases = self._frame_bases
+        span_count = self._span_count
+        span_total = self._span_total
+        span_max = self._span_max
+        for process, frame, proc, is_false, release, start, end, deadline in rows:
+            total += 1
+            # All records count toward the makespan (false jobs carry their
+            # zero-length visibility instant), matching
+            # RuntimeResult.makespan().
+            if end > makespan:
+                makespan = end
+            if is_false:
+                false_jobs += 1
+                continue
+            if end > deadline:
+                missed += 1
+                if end - deadline > worst:
+                    worst = end - deadline
+            span = end - start
+            if busy is not None:
+                busy[proc] += span
+            if responses is not None:
+                response = end - release
+                if response > responses.get(process, 0):
+                    responses[process] = response
+            if frame_spans is not None:
+                frame_span = end - bases[frame]
+                if frame_span > frame_spans[frame]:
+                    frame_spans[frame] = frame_span
+            span_count[process] = span_count.get(process, 0) + 1
+            span_total[process] = span_total.get(process, 0) + span
+            if span > span_max.get(process, 0):
+                span_max[process] = span
+        self._makespan = makespan
+        self._worst_lateness = worst
+        self.total_jobs += total
+        self.false_jobs += false_jobs
+        self.executed_jobs += total - false_jobs
+        self.missed_jobs += missed
 
     # -- data-phase events ----------------------------------------------
     def on_job_data_start(
         self, process: str, k: int, frame: int, start: Time
     ) -> None:
-        self._span_open[(process, k)] = start
-
-    def on_job_data_end(self, process: str, k: int, frame: int, end: Time) -> None:
-        start = self._span_open.pop((process, k))
-        span = end - start
-        self._span_count[process] = self._span_count.get(process, 0) + 1
-        self._span_total[process] = self._span_total.get(process, ZERO) + span
-        if span > self._span_max.get(process, ZERO):
-            self._span_max[process] = span
-
-    def on_channel_write(
-        self, process: str, channel: str, value: Any, time: Time
-    ) -> None:
-        self._channel_writes[channel] = self._channel_writes.get(channel, 0) + 1
+        self._data_seen = True
 
     def on_run_end(self, result: "RuntimeResult") -> None:
-        # A replay of a trace-suppressed result emits no data events even
-        # though the data phase ran; flag it so the data-derived accessors
-        # refuse to misreport every span/write count as absent.  (A live
-        # run with collect_trace=False still streams all data events, and
-        # either way the flag is only raised when none arrived.)
-        if (
-            result.data_collected
-            and not result.trace_collected
-            and not self._span_count
-            and not self._channel_writes
-        ):
+        # Channel writes are counted from the logs once data events show
+        # the data phase fed this observer.  A replay of a trace-suppressed
+        # result emits no data events even though the data phase ran; flag
+        # it so the data-derived accessors refuse to misreport every
+        # span/write count as absent.  (A live run with collect_trace=False
+        # still streams all data events.)
+        if self._data_seen:
+            self._channel_writes = {
+                name: len(log) for name, log in result.channel_logs.items() if log
+            }
+        elif result.data_collected and not result.trace_collected:
             self._data_events_unavailable = True
 
     # -- consumers ------------------------------------------------------
+    @property
+    def makespan(self) -> Time:
+        """Latest record end (false jobs: their visibility instant)."""
+        return self._time(self._makespan)
+
+    @property
+    def worst_lateness(self) -> Time:
+        return self._time(self._worst_lateness)
+
     def _require_run(self) -> None:
         if self.meta is None:
             raise RuntimeModelError(
@@ -384,7 +501,7 @@ class MetricsObserver(ExecutionObserver):
         """Worst-case observed response time per process."""
         self._require_run()
         self._require_tracked(self._track_responses, "track_responses")
-        return dict(self._responses)
+        return {name: self._time(r) for name, r in self._responses.items()}
 
     def processor_utilization(self) -> List[float]:
         """Busy fraction per processor over the simulated horizon."""
@@ -402,13 +519,13 @@ class MetricsObserver(ExecutionObserver):
         self._require_run()
         self._require_tracked(self._track_utilization, "track_utilization")
         horizon = self.meta.hyperperiod * self.meta.frames
-        return [b / horizon for b in self._busy]
+        return [self._time(b) / horizon for b in self._busy]
 
     def frame_makespans(self) -> List[Time]:
         """Per-frame completion time relative to the frame start."""
         self._require_run()
         self._require_tracked(self._track_frame_spans, "track_frame_spans")
-        return list(self._frame_spans)
+        return [self._time(span) for span in self._frame_spans]
 
     def _require_data_events(self) -> None:
         if self._data_events_unavailable:
@@ -420,7 +537,7 @@ class MetricsObserver(ExecutionObserver):
             )
 
     def kernel_span_stats(self) -> Dict[str, "KernelSpanStats"]:
-        """Per-process kernel-span statistics from the data-phase events.
+        """Per-process kernel-span statistics of the executed instances.
 
         Empty when the run emitted no data events (``records_only=True``
         runs have no data phase).  Raises when this observer replayed a
@@ -430,15 +547,18 @@ class MetricsObserver(ExecutionObserver):
 
         self._require_run()
         self._require_data_events()
-        return {
-            name: KernelSpanStats(
+        if not self._data_seen:
+            return {}
+        stats = {}
+        for name, count in sorted(self._span_count.items()):
+            total = self._time(self._span_total[name])
+            stats[name] = KernelSpanStats(
                 jobs=count,
-                total_busy=self._span_total[name],
-                max_span=self._span_max[name],
-                mean_span=self._span_total[name] / count,
+                total_busy=total,
+                max_span=self._time(self._span_max[name]),
+                mean_span=total / count,
             )
-            for name, count in sorted(self._span_count.items())
-        }
+        return stats
 
     def channel_write_counts(self) -> Dict[str, int]:
         """Number of internal channel writes observed, per channel."""

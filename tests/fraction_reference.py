@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.channels import ChannelState, ExternalOutputState
+from repro.core.events import SporadicGenerator
 from repro.core.invocations import Stimulus
 from repro.core.network import Network
 from repro.core.process import JobContext
@@ -32,6 +33,7 @@ from repro.core.timebase import (
 from repro.core.trace import JobEnd, JobStart, Trace
 from repro.errors import ModelError
 from repro.runtime.executor import JobRecord, RuntimeResult
+from repro.runtime.metrics import KernelSpanStats, MissSummary
 from repro.runtime.overheads import OverheadModel
 from repro.runtime.static_order import ArrivalBinding, FramePlan
 from repro.scheduling.list_scheduler import _resolve_priority
@@ -299,6 +301,36 @@ def reference_jittered_execution(
     return sample
 
 
+def reference_random_sporadic_trace(
+    generator: SporadicGenerator,
+    horizon: TimeLike,
+    rng: random.Random,
+    intensity: float = 0.7,
+    time_unit: int = 1000,
+) -> List[Time]:
+    """Seed trace synthesis: each candidate rescans the whole kept trace."""
+    h = as_positive_time(horizon, "horizon")
+    T = generator.period
+    m = generator.burst
+    candidates: List[Time] = []
+    window_start = Time(0)
+    while window_start < h:
+        count = sum(1 for _ in range(m) if rng.random() < intensity)
+        offsets = sorted(rng.randrange(0, time_unit) for _ in range(count))
+        for off in offsets:
+            t = window_start + T * off / time_unit
+            if t < h:
+                candidates.append(t)
+        window_start += T
+    candidates.sort()
+    trace: List[Time] = []
+    for t in candidates:
+        in_window = sum(1 for kept in trace if kept > t - T)
+        if in_window < m:
+            trace.append(t)
+    return generator.validate_trace(trace)
+
+
 def _resolve_execution_time(graph: TaskGraph, spec) -> Callable[[Job, int], Time]:
     if spec is None:
         return lambda job, frame: job.wcet
@@ -420,6 +452,75 @@ def reference_run_static_order(
         trace=trace,
         overhead_intervals=overhead_intervals,
     )
+
+
+def reference_aggregates(result: RuntimeResult) -> Dict[str, Any]:
+    """The seed's ``MetricsObserver`` aggregates, one Fraction record at a time.
+
+    Folds a finished result's record list exactly as the seed observer's
+    ``on_record`` did, with kernel spans taken from the executed records
+    and channel-write counts from the channel logs (the seed's data
+    events carried the same values).
+    """
+    zero = Time(0)
+    total = executed = false_jobs = missed = 0
+    worst, makespan = zero, zero
+    busy = [zero] * result.processors
+    frame_spans = [zero] * result.frames
+    responses: Dict[str, Time] = {}
+    span_count: Dict[str, int] = {}
+    span_total: Dict[str, Time] = {}
+    span_max: Dict[str, Time] = {}
+    for r in result.records:
+        total += 1
+        if r.end > makespan:
+            makespan = r.end
+        if r.is_false:
+            false_jobs += 1
+            continue
+        executed += 1
+        if r.end > r.deadline:
+            missed += 1
+            if r.end - r.deadline > worst:
+                worst = r.end - r.deadline
+        busy[r.processor] += r.end - r.start
+        if r.end - r.release > responses.get(r.process, zero):
+            responses[r.process] = r.end - r.release
+        span = r.end - result.hyperperiod * r.frame
+        if span > frame_spans[r.frame]:
+            frame_spans[r.frame] = span
+        span_count[r.process] = span_count.get(r.process, 0) + 1
+        span_total[r.process] = span_total.get(r.process, zero) + (r.end - r.start)
+        if r.end - r.start > span_max.get(r.process, zero):
+            span_max[r.process] = r.end - r.start
+    horizon = result.hyperperiod * result.frames
+    return {
+        "summary": MissSummary(
+            total_jobs=total,
+            executed_jobs=executed,
+            false_jobs=false_jobs,
+            missed_jobs=missed,
+            worst_lateness=worst,
+            miss_ratio=missed / executed if executed else 0.0,
+        ),
+        "makespan": makespan,
+        "worst_lateness": worst,
+        "responses": responses,
+        "utilization": [b / horizon for b in busy],
+        "frame_makespans": frame_spans,
+        "kernel_spans": {
+            name: KernelSpanStats(
+                jobs=count,
+                total_busy=span_total[name],
+                max_span=span_max[name],
+                mean_span=span_total[name] / count,
+            )
+            for name, count in sorted(span_count.items())
+        },
+        "channel_writes": {
+            name: len(log) for name, log in result.channel_logs.items() if log
+        },
+    }
 
 
 def reference_data_phase(

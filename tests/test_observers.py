@@ -259,9 +259,10 @@ class TestFastModes:
         """An observer that never overrides on_record must not force record
         construction when collect_records=False.
 
-        The timing loop builds records inline through ``object.__new__``
-        (aliased as ``executor._obj_new``), so the spy wraps that alias:
-        any ``JobRecord`` allocation at all would be caught.
+        Records are built through ``JobRecord._from_fields``, which
+        allocates via ``object.__new__`` (aliased as
+        ``executor._obj_new``), so the spy wraps that alias: any
+        ``JobRecord`` allocation at all would be caught.
         """
         import repro.runtime.executor as executor_module
 
@@ -294,10 +295,12 @@ class TestFastModes:
         assert overheads_seen       # but the observer still got its events
 
         # Positive control: the same spy does observe allocations when
-        # records are collected, so the empty list above is meaningful.
+        # collected records are read (they materialise on access), so the
+        # empty list above is meaningful.
         try:
             executor_module._obj_new = spy
             result = run_static_order(net, schedule, 2, stim)
+            list(result.records)
         finally:
             executor_module._obj_new = real_new
         assert len(allocated) == len(result.records) > 0

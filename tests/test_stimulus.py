@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import random as pyrandom
 
-from repro.core import Stimulus
+from repro.core import Network, Stimulus
 from repro.core.events import SporadicGenerator
 from repro.core.invocations import random_sporadic_trace, random_stimulus
 from repro.errors import EventError
+
+from fraction_reference import reference_random_sporadic_trace
 
 
 class TestNormalisation:
@@ -63,6 +65,76 @@ class TestValidation:
         ).validate(sporadic_network)
 
 
+def _config_network(burst):
+    """A sporadic ``config`` process (``burst`` per 300) feeding a sensor."""
+    net = Network("validation-memo")
+    net.add_periodic("sensor", period=100, kernel=lambda ctx: None)
+    net.add_sporadic("config", min_period=300, burst=burst,
+                     kernel=lambda ctx: None)
+    net.connect("config", "sensor", "cfg")
+    net.add_priority("config", "sensor")
+    net.add_external_input("config", "cmd")
+    return net
+
+
+class TestValidationMemo:
+    """``validate`` is memoised by the network facts it reads, not by the
+    network object: equal networks built afresh skip the trace scan, a
+    network differing in any read fact is checked again."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        real = SporadicGenerator.validate_trace
+
+        def counting(gen, times):
+            calls.append(gen)
+            return real(gen, times)
+
+        monkeypatch.setattr(SporadicGenerator, "validate_trace", counting)
+        return calls
+
+    def test_equal_fresh_network_skips_trace_scan(self, monkeypatch):
+        stim = Stimulus(input_samples={"cmd": [1, 2]},
+                        sporadic_arrivals={"config": [0, 10, 400]})
+        calls = self._counting(monkeypatch)
+        stim.validate(_config_network(2))
+        assert len(calls) == 1
+        stim.validate(_config_network(2))  # a different, equal network
+        assert len(calls) == 1
+
+    def test_smaller_burst_still_raises(self, monkeypatch):
+        stim = Stimulus(sporadic_arrivals={"config": [0, 10, 400]})
+        calls = self._counting(monkeypatch)
+        stim.validate(_config_network(2))
+        with pytest.raises(EventError, match="sporadic constraint"):
+            stim.validate(_config_network(1))
+        assert len(calls) == 2
+
+    def test_longer_window_still_raises(self):
+        stim = Stimulus(sporadic_arrivals={"config": [0, 300]})
+        stim.validate(_config_network(1))
+        net = Network("validation-memo")
+        net.add_sporadic("config", min_period=400, kernel=lambda ctx: None)
+        with pytest.raises(EventError, match="sporadic constraint"):
+            stim.validate(net)
+
+    def test_missing_input_still_raises(self):
+        stim = Stimulus(input_samples={"cmd": [1]})
+        stim.validate(_config_network(2))
+        net = Network("validation-memo")
+        net.add_sporadic("config", min_period=300, kernel=lambda ctx: None)
+        with pytest.raises(EventError, match="unknown external input"):
+            stim.validate(net)
+
+    def test_periodic_namesake_still_raises(self):
+        stim = Stimulus(sporadic_arrivals={"config": [0]})
+        stim.validate(_config_network(2))
+        net = Network("validation-memo")
+        net.add_periodic("config", period=300, kernel=lambda ctx: None)
+        with pytest.raises(EventError, match="not sporadic"):
+            stim.validate(net)
+
+
 class TestTruncated:
     def test_arrivals_cut(self):
         s = Stimulus(sporadic_arrivals={"p": [10, 20, 30]})
@@ -97,6 +169,27 @@ class TestRandomTraces:
         t1 = random_sporadic_trace(gen, 1000, pyrandom.Random(5))
         t2 = random_sporadic_trace(gen, 1000, pyrandom.Random(5))
         assert t1 == t2
+
+    @pytest.mark.parametrize("generator", [
+        SporadicGenerator(100, 200),
+        SporadicGenerator(250, 500, burst=3),
+        SporadicGenerator(Fraction(7, 3), 5, burst=2),
+        SporadicGenerator(40, 40, burst=4),
+    ], ids=["m1", "m3", "fractional-m2", "m4"])
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2024])
+    def test_matches_naive_admission(self, generator, seed):
+        """The bisect admission keeps exactly the arrivals the naive
+        rescan keeps and draws the same random numbers."""
+        horizon = generator.period * 40
+        for intensity in (0.3, 0.7, 1.0):
+            ours_rng = pyrandom.Random(seed)
+            ref_rng = pyrandom.Random(seed)
+            ours = random_sporadic_trace(generator, horizon, ours_rng, intensity)
+            ref = reference_random_sporadic_trace(
+                generator, horizon, ref_rng, intensity
+            )
+            assert ours == ref
+            assert ours_rng.getstate() == ref_rng.getstate()
 
     def test_zero_intensity_empty(self):
         gen = SporadicGenerator(100, 200)
